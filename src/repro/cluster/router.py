@@ -38,8 +38,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import random
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -49,7 +47,7 @@ from ..core.config import config_fingerprint
 from ..errors import ProtocolError, ServerError
 from ..log import get_logger
 from ..server import protocol
-from ..server.stats import ServerStats
+from ..server.endpoint import LoopThread, WireConn, WireEndpoint
 from .backend import BackendLink, BackendLostError
 from .health import DOWN, BackendHealth
 from .ring import DEFAULT_REPLICAS, HashRing
@@ -97,25 +95,12 @@ class RouterConfig:
     jitter_seed: Optional[int] = None
 
 
-class _ClientConn:
-    """Per-client-connection state (mirrors the server's ``_Conn``)."""
-
-    def __init__(self, cid: int, writer: asyncio.StreamWriter) -> None:
-        self.cid = cid
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        #: client request id -> router id, for outstanding solves
-        self.jobs: Dict[str, str] = {}
-        self.tasks: Set[asyncio.Task] = set()
-        self.closed = False
-
-
 @dataclass
 class _InFlight:
     """One solve travelling through the router."""
 
     rid: str  #: router-assigned wire id used towards backends
-    conn: _ClientConn
+    conn: WireConn
     request_id: Optional[str]  #: the client's id, echoed in the reply
     frame: Dict[str, Any]  #: original solve frame, sans id/checkpoint
     key: str  #: ring key: "<graph_fp>/<config_fp>"
@@ -131,14 +116,15 @@ class _InFlight:
     tried: Set[str] = field(default_factory=set)
 
 
-class Router:
+class Router(WireEndpoint):
     """Consistent-hash router with health checks and failover."""
+
+    role = "router"
 
     def __init__(self, config: RouterConfig) -> None:
         if not config.backends:
             raise ValueError("a router needs at least one backend")
-        self.config = config
-        self.stats = ServerStats()
+        super().__init__(config)
         names = [f"{h}:{p}" for h, p in config.backends]
         self.ring = HashRing(names, replicas=config.replicas)
         self.links: Dict[str, BackendLink] = {}
@@ -152,12 +138,6 @@ class Router:
                 on_lost=self._on_link_lost,
             )
             self.health[name] = BackendHealth(config.down_threshold)
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._done: Optional[asyncio.Event] = None
-        self._draining = False
-        self._conns: Set[_ClientConn] = set()
         self._inflight: Dict[str, _InFlight] = {}
         #: session id -> backend name (resident state lives *there*)
         self._pinned: Dict[str, str] = {}
@@ -166,24 +146,14 @@ class Router:
         #: non-retriable ``session_lost`` until the client reopens
         self._lost_sessions: Set[str] = set()
         self._bg_tasks: Set[asyncio.Task] = set()
-        self._next_cid = 0
         self._next_rid = 0
         self._rng = random.Random(config.jitter_seed)
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # endpoint hooks
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listener and start probe/poll loops."""
-        self._loop = asyncio.get_running_loop()
-        self._done = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.config.host,
-            self.config.port,
-            limit=self.config.max_frame_bytes,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def _on_bound(self) -> None:
+        """Start the per-backend probe loops and the checkpoint poller."""
         for name in self.links:
             self._spawn(self._probe_loop(name))
         self._spawn(self._checkpoint_poll_loop())
@@ -192,53 +162,26 @@ class Router:
             self.config.host, self.port, len(self.links),
         )
 
-    async def serve_until_drained(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._done is not None
-        await self._done.wait()
-
-    def run(self, install_signal_handlers: bool = True) -> None:
-        """Blocking entry point used by ``repro router``."""
-
-        async def _main() -> None:
-            await self.start()
-            if install_signal_handlers:
-                loop = asyncio.get_running_loop()
-                for sig in (signal.SIGTERM, signal.SIGINT):
-                    with contextlib.suppress(NotImplementedError):
-                        loop.add_signal_handler(sig, self.begin_drain)
-            await self.serve_until_drained()
-
-        asyncio.run(_main())
-
-    def begin_drain(self) -> None:
-        """Graceful drain: finish in-flight solves, never touch backends."""
-        if self._draining:
-            return
-        self._draining = True
-        log.info("drain: stopping listener, finishing in-flight solves")
-        assert self._loop is not None
-        self._loop.create_task(self._drain())
-
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        tasks = [t for conn in list(self._conns) for t in list(conn.tasks)]
-        if tasks:
-            await asyncio.wait(tasks, timeout=self.config.drain_timeout_s)
-        for task in list(self._bg_tasks):
-            task.cancel()
-        if self._bg_tasks:
-            await asyncio.gather(*self._bg_tasks, return_exceptions=True)
+    async def _drain_body(self) -> None:
+        """Finish in-flight solves, then stop background work and links."""
+        await self._await_conn_tasks()
+        # before Python 3.12, asyncio.wait_for swallows a cancel that
+        # lands while its inner future completes, and a probe loop that
+        # lost its cancel that way would run forever: cancel until all
+        # background loops have exited
+        pending = set(self._bg_tasks)
+        while pending:
+            for task in pending:
+                task.cancel()
+            _, pending = await asyncio.wait(pending, timeout=0.1)
         for link in self.links.values():
             await link.close()
-        for conn in list(self._conns):
-            await self._close_conn(conn)
-        assert self._done is not None
-        self._done.set()
-        log.info("drain: complete")
+
+    async def _handshake_reply(self) -> Dict[str, Any]:
+        # handshake every reachable link first so the advert is the
+        # real backend intersection, not the optimistic default
+        await self._connect_links()
+        return self._hello_frame()
 
     def _spawn(self, coro) -> asyncio.Task:
         assert self._loop is not None
@@ -335,37 +278,8 @@ class Router:
                     self.stats.inc(f"checkpoints.polled.{link.name}")
 
     # ------------------------------------------------------------------
-    # client connection handling
+    # hello advert and dispatch
     # ------------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.inc("connections.total")
-        conn = _ClientConn(self._next_cid, writer)
-        self._next_cid += 1
-        if self._draining or len(self._conns) >= self.config.max_conns:
-            code = "draining" if self._draining else "too_many_connections"
-            self.stats.inc(f"rejects.{code}")
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(
-                    protocol.encode_frame(
-                        protocol.error_frame(code, f"connection refused: {code}")
-                    )
-                )
-                await writer.drain()
-            writer.close()
-            return
-        with contextlib.suppress(Exception):
-            writer.transport.set_write_buffer_limits(high=256 * 1024)
-        self._conns.add(conn)
-        try:
-            if await self._handshake(conn, reader):
-                await self._read_loop(conn, reader)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await self._teardown_conn(conn)
-
     def _hello_frame(self) -> Dict[str, Any]:
         """The router's capability advert: the backend intersection.
 
@@ -402,50 +316,6 @@ class Router:
             "backends": len(self.links),
         }
 
-    async def _handshake(
-        self, conn: _ClientConn, reader: asyncio.StreamReader
-    ) -> bool:
-        try:
-            line = await asyncio.wait_for(
-                reader.readline(), self.config.handshake_timeout_s
-            )
-        except asyncio.TimeoutError:
-            await self._send_error(
-                conn, "handshake_required", "no hello frame before timeout"
-            )
-            return False
-        except ValueError:
-            await self._oversized(conn)
-            return False
-        if not line:
-            return False
-        self.stats.inc("frames.in")
-        try:
-            frame = protocol.decode_frame(line)
-        except ProtocolError as exc:
-            await self._send_error(conn, exc.code, str(exc))
-            return False
-        if frame.get("type") != "hello":
-            await self._send_error(
-                conn,
-                "handshake_required",
-                f"first frame must be hello, got {frame.get('type')!r}",
-            )
-            return False
-        if frame.get("protocol") != protocol.PROTOCOL:
-            await self._send_error(
-                conn,
-                "unsupported_protocol",
-                f"router speaks {protocol.PROTOCOL}, "
-                f"client offered {frame.get('protocol')!r}",
-            )
-            return False
-        # handshake every reachable link first so the advert is the
-        # real backend intersection, not the optimistic default
-        await self._connect_links()
-        await self._send(conn, self._hello_frame())
-        return True
-
     async def _connect_links(self) -> None:
         """Best-effort connect of every link that is not up yet."""
 
@@ -459,27 +329,7 @@ class Router:
         if pending:
             await asyncio.gather(*pending)
 
-    async def _read_loop(
-        self, conn: _ClientConn, reader: asyncio.StreamReader
-    ) -> None:
-        while not conn.closed:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                await self._oversized(conn)
-                return
-            if not line:
-                return
-            self.stats.inc("frames.in")
-            try:
-                frame = protocol.decode_frame(line)
-            except ProtocolError as exc:
-                self.stats.inc("rejects.bad_frame")
-                await self._send_error(conn, exc.code, str(exc))
-                continue
-            await self._dispatch(conn, frame)
-
-    async def _dispatch(self, conn: _ClientConn, frame: Dict[str, Any]) -> None:
+    async def _dispatch(self, conn: WireConn, frame: Dict[str, Any]) -> None:
         ftype = frame["type"]
         if ftype == "solve":
             await self._on_solve(conn, frame)
@@ -513,7 +363,7 @@ class Router:
     # ------------------------------------------------------------------
     # solve routing
     # ------------------------------------------------------------------
-    async def _on_solve(self, conn: _ClientConn, frame: Dict[str, Any]) -> None:
+    async def _on_solve(self, conn: WireConn, frame: Dict[str, Any]) -> None:
         request_id = frame.get("id")
         if request_id is not None and not isinstance(request_id, str):
             await self._send_error(conn, "bad_request", "'id' must be a string")
@@ -539,11 +389,7 @@ class Router:
                 request_id=request_id,
             )
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "router is draining", request_id=request_id
-            )
+        if await self._refuse_if_draining(conn, request_id):
             return
         # full validation (graph decode included) runs off the loop;
         # it also yields the fingerprints that form the ring key
@@ -608,10 +454,7 @@ class Router:
         if request_id is not None:
             conn.jobs[request_id] = rid
         self.stats.inc("solves.accepted")
-        t0 = loop.time()
-        task = loop.create_task(self._drive_solve(entry, t0))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        self._track(conn, self._drive_solve(entry, loop.time()))
 
     def _pick_backend(self, entry: _InFlight) -> Tuple[Optional[str], bool]:
         """The next placement for one solve: (name, was_rebalanced).
@@ -794,7 +637,7 @@ class Router:
         return None
 
     async def _on_session_op(
-        self, conn: _ClientConn, frame: Dict[str, Any], ftype: str
+        self, conn: WireConn, frame: Dict[str, Any], ftype: str
     ) -> None:
         request_id = frame.get("id")
         if request_id is not None and not isinstance(request_id, str):
@@ -807,11 +650,7 @@ class Router:
                 conn, exc.code, str(exc), request_id=request_id
             )
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "router is draining", request_id=request_id
-            )
+        if await self._refuse_if_draining(conn, request_id):
             return
         if ftype == "open-session":
             name = self._pinned.get(sid)
@@ -862,16 +701,14 @@ class Router:
         self._next_rid += 1
         wire = dict(frame)
         wire["id"] = rid
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(
-            self._drive_session_op(conn, request_id, sid, name, wire, ftype)
+        self._track(
+            conn,
+            self._drive_session_op(conn, request_id, sid, name, wire, ftype),
         )
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
 
     async def _drive_session_op(
         self,
-        conn: _ClientConn,
+        conn: WireConn,
         request_id: Optional[str],
         sid: str,
         name: str,
@@ -937,7 +774,7 @@ class Router:
         await self._send(conn, out)
 
     async def _on_subscribe(
-        self, conn: _ClientConn, frame: Dict[str, Any]
+        self, conn: WireConn, frame: Dict[str, Any]
     ) -> None:
         """Attach a passthrough pipe to the session's pinned backend.
 
@@ -982,13 +819,10 @@ class Router:
                 request_id=rid,
             )
             return
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(self._subscribe_pipe(conn, frame, name))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        self._track(conn, self._subscribe_pipe(conn, frame, name))
 
     async def _subscribe_pipe(
-        self, conn: _ClientConn, frame: Dict[str, Any], name: str
+        self, conn: WireConn, frame: Dict[str, Any], name: str
     ) -> None:
         rid, sid = frame["id"], frame.get("session")
         link = self.links[name]
@@ -1060,7 +894,7 @@ class Router:
     # forwarded small frames
     # ------------------------------------------------------------------
     async def _on_forwarded(
-        self, conn: _ClientConn, frame: Dict[str, Any], ftype: str
+        self, conn: WireConn, frame: Dict[str, Any], ftype: str
     ) -> None:
         """Relay status/cancel/checkpoint to the owning backend."""
         request_id = frame.get("id")
@@ -1137,59 +971,7 @@ class Router:
             "backends": backends,
         }
 
-    # ------------------------------------------------------------------
-    # writing and teardown (same discipline as the server)
-    # ------------------------------------------------------------------
-    async def _send(self, conn: _ClientConn, frame: Dict[str, Any]) -> None:
-        if conn.closed:
-            return
-        data = protocol.encode_frame(frame)
-        try:
-            async with conn.write_lock:
-                conn.writer.write(data)
-                await conn.writer.drain()
-            self.stats.inc("frames.out")
-        except (ConnectionError, OSError):
-            conn.closed = True
-
-    async def _send_error(
-        self,
-        conn: _ClientConn,
-        code: str,
-        message: str,
-        request_id: Optional[str] = None,
-        retry_after_s: Optional[float] = None,
-    ) -> None:
-        self.stats.inc("errors.sent")
-        await self._send(
-            conn, protocol.error_frame(code, message, request_id, retry_after_s)
-        )
-
-    async def _oversized(self, conn: _ClientConn) -> None:
-        self.stats.inc("rejects.frame_too_large")
-        await self._send_error(
-            conn,
-            "frame_too_large",
-            f"frame exceeds max_frame_bytes={self.config.max_frame_bytes}",
-        )
-        await self._close_conn(conn)
-
-    async def _close_conn(self, conn: _ClientConn) -> None:
-        if conn.closed:
-            self._conns.discard(conn)
-            return
-        conn.closed = True
-        self._conns.discard(conn)
-        with contextlib.suppress(ConnectionError, OSError):
-            conn.writer.close()
-
-    async def _teardown_conn(self, conn: _ClientConn) -> None:
-        for task in list(conn.tasks):
-            task.cancel()
-        await self._close_conn(conn)
-
-
-class RouterThread:
+class RouterThread(LoopThread):
     """Run a :class:`Router` on a background thread (tests, benchmarks).
 
     >>> backends = [("127.0.0.1", b1.port), ("127.0.0.1", b2.port)]
@@ -1202,37 +984,4 @@ class RouterThread:
 
     def __init__(self, config: RouterConfig) -> None:
         self.router = Router(config)
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="solve-router", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            await self.router.start()
-            self._ready.set()
-            await self.router.serve_until_drained()
-
-        try:
-            asyncio.run(_main())
-        finally:
-            self._ready.set()
-
-    def start(self, timeout_s: float = 10.0) -> "RouterThread":
-        self._thread.start()
-        if not self._ready.wait(timeout_s):
-            raise RuntimeError("router thread failed to start in time")
-        if self.router.port is None:
-            raise RuntimeError("router failed to bind (see log)")
-        return self
-
-    @property
-    def port(self) -> int:
-        assert self.router.port is not None
-        return self.router.port
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        loop = self.router._loop
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.router.begin_drain)
-        self._thread.join(timeout_s)
+        super().__init__(self.router, name="solve-router")

@@ -8,8 +8,11 @@ synchronous client library (``repro client``):
   wire format, error-code table, and graph payload codecs;
 * :mod:`repro.server.bridge` -- the micro-batching worker-thread
   bridge that keeps solves off the event loop;
-* :mod:`repro.server.server` -- the asyncio TCP server (framing,
-  backpressure, rate limiting, graceful drain);
+* :mod:`repro.server.endpoint` -- the connection path and lifecycle
+  the server shares with the cluster router (connection cap, frame
+  limit, handshake, read loop, drain) plus the ``LoopThread`` harness;
+* :mod:`repro.server.server` -- the asyncio TCP server (rate
+  limiting, bridge backpressure, sessions);
 * :mod:`repro.server.client` -- the blocking client with retry and
   backoff;
 * :mod:`repro.server.limiter` / :mod:`repro.server.stats` --

@@ -259,13 +259,18 @@ class SolveBridge:
             self._cond.notify()
         return self._idle.wait(timeout_s)
 
-    def stop(self, timeout_s: Optional[float] = 10.0) -> None:
-        """Drain, then terminate the worker thread."""
+    def stop(self, timeout_s: Optional[float] = 10.0) -> bool:
+        """Drain, then terminate the worker thread.
+
+        Returns True when the worker thread has exited, False when it
+        is still alive after the ``timeout_s`` join.
+        """
         self.drain(timeout_s)
         with self._cond:
             self._stopped = True
             self._cond.notify()
         self._thread.join(timeout_s)
+        return not self._thread.is_alive()
 
     # ------------------------------------------------------------------
     # worker thread

@@ -8,26 +8,14 @@ worker thread through the existing service stack, so a concurrent
 ``stats`` frame answers immediately even while a heavy graph is mid
 search.
 
-Defence layers, outermost first:
-
-1. **connection cap** -- past ``max_conns``, new sockets get one
-   retriable ``too_many_connections`` error frame and are closed;
-2. **frame size limit** -- the stream reader's buffer limit rejects
-   any line over ``max_frame_bytes`` (``frame_too_large``, close --
-   framing cannot be trusted after an oversized blob);
-3. **per-connection token bucket** -- ``solve`` frames past the
-   configured rate get ``rate_limited`` with a precise
-   ``retry_after_s``;
-4. **bounded bridge queue** -- server-level backpressure in front of
-   the service's admission controller (``server_busy``, retriable);
-5. **slow-client write throttling** -- result frames are written
-   under ``writer.drain()`` with bounded transport buffers, so one
-   unread socket stalls only its own connection task.
-
-Graceful drain (SIGTERM, SIGINT, or a ``shutdown`` frame): the
-listener closes, queued jobs fail fast with a retriable ``draining``
-error, the in-flight batch finishes and its results are still
-delivered, then every connection is closed and the server exits.
+The connection path (connection cap, frame size limit, handshake,
+read loop) and the drain are the ones the cluster router shares; see
+:mod:`repro.server.endpoint` and docs/ARCHITECTURE.md ("The shared
+endpoint"). On top of them the server adds a per-connection token
+bucket (``rate_limited``) and a bounded bridge queue (``server_busy``)
+in front of the service's admission controller. Its drain fails
+queued jobs fast with a retriable ``draining`` error and still
+delivers the in-flight batch's results.
 """
 
 from __future__ import annotations
@@ -35,8 +23,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import signal
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
@@ -48,8 +34,8 @@ from ..stream import GraphSession, SessionManager
 from ..trace import NULL_TRACER, CounterTracer
 from . import protocol
 from .bridge import BridgeQueueFull, SolveBridge
+from .endpoint import LoopThread, WireConn, WireEndpoint
 from .limiter import TokenBucket
-from .stats import ServerStats
 
 __all__ = ["ServerConfig", "SolveServer", "ServerThread"]
 
@@ -109,20 +95,14 @@ class _DedupEntry:
         self.max_report = max_report
 
 
-class _Conn:
-    """Per-connection state: writer lock, rate bucket, job bookkeeping."""
+class _Conn(WireConn):
+    """A server connection: adds the rate bucket and subscriptions."""
 
     def __init__(self, cid: int, writer: asyncio.StreamWriter, config: ServerConfig):
-        self.cid = cid
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
+        super().__init__(cid, writer)
         self.bucket = TokenBucket(config.rate, config.burst)
-        #: client request id -> server job id, for outstanding solves
-        self.jobs: Dict[str, str] = {}
-        self.tasks: Set[asyncio.Task] = set()
         #: session ids this connection subscribed to (teardown cleanup)
         self.subs: Set[str] = set()
-        self.closed = False
 
 
 class _Subscriber:
@@ -143,20 +123,13 @@ class _Subscriber:
         self.last_epoch = last_epoch
 
 
-class SolveServer:
+class SolveServer(WireEndpoint):
     """Asyncio TCP server bridging ``repro-wire/1`` onto a SolveService."""
 
     def __init__(self, service, config: Optional[ServerConfig] = None) -> None:
+        super().__init__(config if config is not None else ServerConfig())
         self.service = service
-        self.config = config if config is not None else ServerConfig()
-        self.stats = ServerStats()
         self.bridge = SolveBridge(service, max_queue=self.config.queue_depth)
-        self.port: Optional[int] = None  #: bound port, known after start()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._done: Optional[asyncio.Event] = None
-        self._draining = False
-        self._conns: Set[_Conn] = set()
         #: request_id -> _DedupEntry, LRU-ordered (bounded idempotency)
         self._dedup: "OrderedDict[str, _DedupEntry]" = OrderedDict()
         #: resident streaming sessions; all registry *writes* happen on
@@ -168,54 +141,21 @@ class SolveServer:
         self._push_locks: Dict[str, asyncio.Lock] = {}
         #: worker-thread-safe id source for session-internal solves
         self._session_seq = itertools.count()
-        self._next_cid = 0
         self._next_job = 0
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # endpoint hooks and lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listener; ``self.port`` is valid afterwards."""
-        self._loop = asyncio.get_running_loop()
-        self._done = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.config.host,
-            self.config.port,
-            limit=self.config.max_frame_bytes,
+    def _make_conn(self, cid: int, writer: asyncio.StreamWriter) -> _Conn:
+        return _Conn(cid, writer, self.config)
+
+    def _hello_frame(self) -> Dict[str, Any]:
+        return protocol.hello_frame(
+            self.config.max_frame_bytes, f"repro/{__version__}"
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+
+    def _on_bound(self) -> None:
         log.info("serving repro-wire/1 on %s:%d", self.config.host, self.port)
-
-    async def serve_until_drained(self) -> None:
-        """Run until a drain (signal or ``shutdown`` frame) completes."""
-        if self._server is None:
-            await self.start()
-        assert self._done is not None
-        await self._done.wait()
-
-    def run(self, install_signal_handlers: bool = True) -> None:
-        """Blocking entry point used by ``repro serve``."""
-
-        async def _main() -> None:
-            await self.start()
-            if install_signal_handlers:
-                loop = asyncio.get_running_loop()
-                for sig in (signal.SIGTERM, signal.SIGINT):
-                    with contextlib.suppress(NotImplementedError):
-                        loop.add_signal_handler(sig, self.begin_drain)
-            await self.serve_until_drained()
-
-        asyncio.run(_main())
-
-    def begin_drain(self) -> None:
-        """Start a graceful drain; idempotent, must run on the loop."""
-        if self._draining:
-            return
-        self._draining = True
-        log.info("drain: stopping listener, rejecting queued jobs")
-        assert self._loop is not None
-        self._loop.create_task(self._drain())
 
     def kill(self) -> None:
         """Crash the server: abort every socket, no drain, no goodbyes.
@@ -237,14 +177,10 @@ class SolveServer:
             self._done.set()
         log.info("killed: all connections aborted")
 
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        loop = asyncio.get_running_loop()
+    async def _drain_body(self) -> None:
         # queued jobs fail fast (retriable error frames go out through
         # their waiting tasks); the in-flight batch runs to completion
-        completed = await loop.run_in_executor(
+        completed = await asyncio.get_running_loop().run_in_executor(
             None, self.bridge.drain, self.config.drain_timeout_s
         )
         if not completed:
@@ -253,114 +189,28 @@ class SolveServer:
                 self.config.drain_timeout_s,
             )
         # let result frames flush to still-connected clients
-        tasks = [t for conn in list(self._conns) for t in list(conn.tasks)]
-        if tasks:
-            await asyncio.wait(tasks, timeout=self.config.drain_timeout_s)
-        for conn in list(self._conns):
-            await self._close_conn(conn)
-        assert self._done is not None
-        self._done.set()
-        log.info("drain: complete")
+        await self._await_conn_tasks()
 
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.inc("connections.total")
-        conn = _Conn(self._next_cid, writer, self.config)
-        self._next_cid += 1
-        if self._draining or len(self._conns) >= self.config.max_conns:
-            code = "draining" if self._draining else "too_many_connections"
-            self.stats.inc(f"rejects.{code}")
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(
-                    protocol.encode_frame(
-                        protocol.error_frame(code, f"connection refused: {code}")
-                    )
-                )
-                await writer.drain()
-            writer.close()
-            return
-        # bound the kernel-side write buffer so a slow reader exerts
-        # backpressure on its own drain() instead of growing memory
-        with contextlib.suppress(Exception):
-            writer.transport.set_write_buffer_limits(high=256 * 1024)
-        self._conns.add(conn)
-        try:
-            if await self._handshake(conn, reader):
-                await self._read_loop(conn, reader)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass  # client went away; cleanup below
-        finally:
-            await self._teardown_conn(conn)
+    def _release_conn(self, conn: _Conn) -> None:
+        """Disconnect cleanup: cancel this connection's queued jobs.
 
-    async def _handshake(self, conn: _Conn, reader: asyncio.StreamReader) -> bool:
-        try:
-            line = await asyncio.wait_for(
-                reader.readline(), self.config.handshake_timeout_s
-            )
-        except asyncio.TimeoutError:
-            await self._send_error(
-                conn, "handshake_required", "no hello frame before timeout"
-            )
-            return False
-        except ValueError:
-            await self._oversized(conn)
-            return False
-        if not line:
-            return False
-        self.stats.inc("frames.in")
-        try:
-            frame = protocol.decode_frame(line)
-        except ProtocolError as exc:
-            await self._send_error(conn, exc.code, str(exc))
-            return False
-        if frame.get("type") != "hello":
-            await self._send_error(
-                conn,
-                "handshake_required",
-                f"first frame must be hello, got {frame.get('type')!r}",
-            )
-            return False
-        if frame.get("protocol") != protocol.PROTOCOL:
-            await self._send_error(
-                conn,
-                "unsupported_protocol",
-                f"server speaks {protocol.PROTOCOL}, "
-                f"client offered {frame.get('protocol')!r}",
-            )
-            return False
-        await self._send(
-            conn,
-            protocol.hello_frame(
-                self.config.max_frame_bytes, f"repro/{__version__}"
-            ),
-        )
-        return True
-
-    async def _read_loop(self, conn: _Conn, reader: asyncio.StreamReader) -> None:
-        while not conn.closed:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                # the stream buffer overflowed: an oversized frame (or
-                # newline-free garbage); framing is unrecoverable
-                await self._oversized(conn)
-                return
-            if not line:
-                return  # EOF
-            self.stats.inc("frames.in")
-            try:
-                frame = protocol.decode_frame(line)
-            except ProtocolError as exc:
-                # newline framing is still intact after a bad line, so
-                # answer and keep the connection
-                self.stats.inc("rejects.bad_frame")
-                await self._send_error(conn, exc.code, str(exc))
-                continue
-            await self._dispatch(conn, frame)
+        A mid-solve disconnect must not wedge a worker: still-queued
+        jobs are cancelled outright; a job already inside the service
+        batch runs to completion (its result frame write is a no-op on
+        the closed socket) and its worker returns to the pool.
+        """
+        for job_id in list(conn.jobs.values()):
+            if self.bridge.cancel(job_id):
+                self.stats.inc("solves.cancelled_on_disconnect")
+        # subscriptions die with the socket; the sessions themselves
+        # stay resident (a reconnecting client re-subscribes by id)
+        for sid in list(conn.subs):
+            subs = self._subscribers.get(sid)
+            if subs is not None:
+                subs[:] = [s for s in subs if s.conn is not conn]
+                if not subs:
+                    del self._subscribers[sid]
+        conn.subs.clear()
 
     async def _dispatch(self, conn: _Conn, frame: Dict[str, Any]) -> None:
         ftype = frame["type"]
@@ -394,12 +244,7 @@ class SolveServer:
             self.begin_drain()
         elif ftype == "hello":
             # a redundant hello is harmless; answer it again
-            await self._send(
-                conn,
-                protocol.hello_frame(
-                    self.config.max_frame_bytes, f"repro/{__version__}"
-                ),
-            )
+            await self._send(conn, self._hello_frame())
         else:
             self.stats.inc("rejects.unknown_type")
             await self._send_error(
@@ -439,11 +284,7 @@ class SolveServer:
                 request_id=request_id,
             )
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "server is draining", request_id=request_id
-            )
+        if await self._refuse_if_draining(conn, request_id):
             return
         ok, retry_after = conn.bucket.try_acquire()
         if not ok:
@@ -508,13 +349,12 @@ class SolveServer:
             self._dedup.move_to_end(dedup_key)
             self._prune_dedup()
         t0 = loop.time()
-        task = loop.create_task(
+        self._track(
+            conn,
             self._await_result(
                 conn, request_id, job_id, future, max_report, t0, entry
-            )
+            ),
         )
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
 
     async def _dedup_hit(self, conn: _Conn, request_id, dedup_key: str) -> bool:
         """Answer a known ``request_id`` from the dedup table.
@@ -538,10 +378,7 @@ class SolveServer:
             return True
         self.stats.inc("dedup.joins")
         self._service_counter("service.dedup.joins")
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(self._join_result(conn, request_id, entry))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        self._track(conn, self._join_result(conn, request_id, entry))
         return True
 
     async def _join_result(self, conn: _Conn, request_id, entry) -> None:
@@ -702,11 +539,7 @@ class SolveServer:
         if rid is not None and not isinstance(rid, str):
             await self._send_error(conn, "bad_request", "'id' must be a string")
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "server is draining", request_id=rid
-            )
+        if await self._refuse_if_draining(conn, rid):
             return
         request_key = frame.get("request_id")
         # graph decode can be MiBs of base64+gzip+parsing: off the loop
@@ -762,11 +595,7 @@ class SolveServer:
             self.stats.inc("rejects.bad_request")
             await self._send_error(conn, exc.code, str(exc), request_id=rid)
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "server is draining", request_id=rid
-            )
+        if await self._refuse_if_draining(conn, rid):
             return
         # mutations trigger solves, so they draw from the same
         # per-connection rate budget as solve frames
@@ -867,12 +696,9 @@ class SolveServer:
             self.stats.inc(f"rejects.{exc.code}")
             await self._send_error(conn, exc.code, str(exc), request_id=rid)
             return
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(
-            self._await_session_op(conn, rid, future, reply_type, closing)
+        self._track(
+            conn, self._await_session_op(conn, rid, future, reply_type, closing)
         )
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
 
     async def _await_session_op(
         self, conn: _Conn, rid, future, reply_type: str, closing: bool
@@ -969,85 +795,9 @@ class SolveServer:
             "counters": counters,
         }
 
-    # ------------------------------------------------------------------
-    # writing and teardown
-    # ------------------------------------------------------------------
-    async def _send(self, conn: _Conn, frame: Dict[str, Any]) -> None:
-        if conn.closed:
-            return
-        data = protocol.encode_frame(frame)
-        try:
-            async with conn.write_lock:
-                conn.writer.write(data)
-                # backpressure point: a slow client stalls only this
-                # coroutine, never the loop or other connections
-                await conn.writer.drain()
-            self.stats.inc("frames.out")
-        except (ConnectionError, OSError):
-            conn.closed = True
 
-    async def _send_error(
-        self,
-        conn: _Conn,
-        code: str,
-        message: str,
-        request_id: Optional[str] = None,
-        retry_after_s: Optional[float] = None,
-    ) -> None:
-        self.stats.inc("errors.sent")
-        await self._send(
-            conn, protocol.error_frame(code, message, request_id, retry_after_s)
-        )
-
-    async def _oversized(self, conn: _Conn) -> None:
-        self.stats.inc("rejects.frame_too_large")
-        await self._send_error(
-            conn,
-            "frame_too_large",
-            f"frame exceeds max_frame_bytes={self.config.max_frame_bytes}",
-        )
-        await self._close_conn(conn)
-
-    async def _close_conn(self, conn: _Conn) -> None:
-        if conn.closed:
-            self._conns.discard(conn)
-            return
-        conn.closed = True
-        self._conns.discard(conn)
-        with contextlib.suppress(ConnectionError, OSError):
-            conn.writer.close()
-
-    async def _teardown_conn(self, conn: _Conn) -> None:
-        """Disconnect cleanup: cancel this connection's queued jobs.
-
-        A mid-solve disconnect must not wedge a worker: still-queued
-        jobs are cancelled outright; a job already inside the service
-        batch runs to completion (its result frame write is a no-op on
-        the closed socket) and its worker returns to the pool.
-        """
-        for job_id in list(conn.jobs.values()):
-            if self.bridge.cancel(job_id):
-                self.stats.inc("solves.cancelled_on_disconnect")
-        # subscriptions die with the socket; the sessions themselves
-        # stay resident (a reconnecting client re-subscribes by id)
-        for sid in list(conn.subs):
-            subs = self._subscribers.get(sid)
-            if subs is not None:
-                subs[:] = [s for s in subs if s.conn is not conn]
-                if not subs:
-                    del self._subscribers[sid]
-        conn.subs.clear()
-        for task in list(conn.tasks):
-            task.cancel()
-        await self._close_conn(conn)
-
-
-class ServerThread:
+class ServerThread(LoopThread):
     """Run a :class:`SolveServer` on a background thread.
-
-    The in-process harness used by the test suite and the latency
-    benchmark: starts the server's event loop on a daemon thread,
-    waits until the port is bound, and drains it on :meth:`stop`.
 
     >>> handle = ServerThread(SolveService(devices=2))
     >>> handle.start()
@@ -1057,44 +807,23 @@ class ServerThread:
     """
 
     def __init__(self, service, config: Optional[ServerConfig] = None) -> None:
-        if config is None:
-            config = ServerConfig(port=0)
-        self.server = SolveServer(service, config)
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="solve-server", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            await self.server.start()
-            self._ready.set()
-            await self.server.serve_until_drained()
-
-        try:
-            asyncio.run(_main())
-        finally:
-            self._ready.set()  # unblock start() even on bind failure
-
-    def start(self, timeout_s: float = 10.0) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout_s):
-            raise RuntimeError("server thread failed to start in time")
-        if self.server.port is None:
-            raise RuntimeError("server failed to bind (see log)")
-        return self
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None
-        return self.server.port
+        self.server = SolveServer(service, config or ServerConfig(port=0))
+        super().__init__(self.server, name="solve-server")
 
     def stop(self, timeout_s: float = 30.0) -> None:
-        loop = self.server._loop
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.server.begin_drain)
-        self._thread.join(timeout_s)
-        self.server.bridge.stop(timeout_s)
+        """Drain, join the loop thread, then stop the bridge worker.
+
+        Raises :class:`RuntimeError` when either thread is still alive
+        after its join.
+        """
+        try:
+            super().stop(timeout_s)
+        finally:
+            bridge_stopped = self.server.bridge.stop(timeout_s)
+        if not bridge_stopped:
+            raise RuntimeError(
+                f"thread 'solve-bridge' still alive {timeout_s:g}s after stop"
+            )
 
     def kill(self, timeout_s: float = 10.0) -> None:
         """Simulate a crash: abort all sockets, skip the drain entirely.
@@ -1104,7 +833,5 @@ class ServerThread:
         process. The bridge worker (a daemon thread) may still be
         mid-solve; its results go nowhere.
         """
-        loop = self.server._loop
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.server.kill)
-        self._thread.join(timeout_s)
+        self._call_on_loop(self.server.kill)
+        self._join(timeout_s)

@@ -1,5 +1,7 @@
 """Router behaviour: parity, affinity, negotiation, wire edge cases."""
 
+import asyncio
+import threading
 import time
 
 import pytest
@@ -300,3 +302,23 @@ class TestStatsFrame:
         # the backend survives a router drain
         with SolveClient(port=backend.port) as direct:
             assert direct.stats()["server"]["draining"] is False
+
+    def test_drain_outlasts_a_lost_cancel(self, make_backend, make_router):
+        """Before Python 3.12, asyncio.wait_for can swallow the cancel
+        that ends a probe loop; the router drain must still finish."""
+        router = make_router([make_backend()])
+        started = threading.Event()
+
+        async def loses_first_cancel():
+            started.set()
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                pass  # the cancel a racing wait_for would have eaten
+            await asyncio.sleep(3600)
+
+        router.router._loop.call_soon_threadsafe(
+            router.router._spawn, loses_first_cancel()
+        )
+        assert started.wait(5.0)
+        router.stop(timeout_s=5.0)

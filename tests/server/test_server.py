@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.cluster import RouterConfig, RouterThread
 from repro.errors import ServerError
 from repro.server import ServerConfig, protocol
 from repro.service import SolveService
@@ -27,6 +28,33 @@ def _slow_service(delay_s, **kwargs):
         fault_hook=lambda request, attempt, config: time.sleep(delay_s),
         **kwargs,
     )
+
+
+@pytest.fixture(params=["server", "router"])
+def make_endpoint(request, make_server):
+    """Factory for the endpoint under test: a server, or a router in
+    front of one. Both share the connection path (cap, handshake, read
+    loop, drain), so these cases must behave the same on either.
+    ``overrides`` go to the config of the endpoint under test."""
+    routers = []
+
+    def _make(service=None, **overrides):
+        if request.param == "server":
+            return make_server(
+                service=service, config=ServerConfig(port=0, **overrides)
+            )
+        backend = make_server(service=service)
+        handle = RouterThread(
+            RouterConfig(
+                backends=[("127.0.0.1", backend.port)], port=0, **overrides
+            )
+        )
+        routers.append(handle)
+        return handle.start()
+
+    yield _make
+    for handle in routers:
+        handle.stop()
 
 
 def _collect(conn, n, deadline_s=20.0):
@@ -205,16 +233,16 @@ class TestBackpressure:
         error = next(f for f in frames if f["type"] == "error")
         assert error["code"] == "bad_request"
 
-    def test_connection_cap(self, make_server, raw_conn, make_client, community):
-        server = make_server(config=ServerConfig(port=0, max_conns=1))
-        client = make_client(server, retries=0)
+    def test_connection_cap(self, make_endpoint, raw_conn, make_client, community):
+        endpoint = make_endpoint(max_conns=1)
+        client = make_client(endpoint, retries=0)
         client.connect()
-        extra = raw_conn(server)
+        extra = raw_conn(endpoint)
         refused = extra.recv()
         assert refused["type"] == "error"
         assert refused["code"] == "too_many_connections"
         assert refused["retriable"] is True
-        assert extra.recv() is None  # server closed the socket
+        assert extra.recv() is None  # endpoint closed the socket
         # the occupant is unaffected
         assert client.solve(community)["record"]["status"] == "ok"
 
@@ -227,10 +255,22 @@ class TestHandshake:
         assert reply["code"] == "handshake_required"
         assert conn.recv() is None
 
-    def test_wrong_protocol_rejected(self, server, raw_conn):
-        conn = raw_conn(server)
+    def test_wrong_protocol_rejected(self, make_endpoint, raw_conn, request):
+        conn = raw_conn(make_endpoint())
         conn.send({"type": "hello", "protocol": "repro-wire/99"})
-        assert conn.recv()["code"] == "unsupported_protocol"
+        reply = conn.recv()
+        assert reply["code"] == "unsupported_protocol"
+        role = request.node.callspec.params["make_endpoint"]
+        assert reply["message"] == (
+            f"{role} speaks {protocol.PROTOCOL}, client offered 'repro-wire/99'"
+        )
+        assert conn.recv() is None
+
+    def test_handshake_timeout(self, make_endpoint, raw_conn):
+        conn = raw_conn(make_endpoint(handshake_timeout_s=0.2))
+        reply = conn.recv()  # say nothing; the endpoint gives up first
+        assert reply["code"] == "handshake_required"
+        assert reply["message"] == "no hello frame before timeout"
         assert conn.recv() is None
 
     def test_hello_reply_shape(self, server, raw_conn):
@@ -274,8 +314,8 @@ class TestAbuse:
         conn.send({"type": "stats"})
         assert conn.recv()["type"] == "stats"  # still fully usable
 
-    def test_garbage_before_handshake_closes(self, server, raw_conn):
-        conn = raw_conn(server)
+    def test_garbage_before_handshake_closes(self, make_endpoint, raw_conn):
+        conn = raw_conn(make_endpoint())
         conn.send_bytes(b"GET / HTTP/1.1\r\n")
         assert conn.recv()["code"] == "bad_frame"
         assert conn.recv() is None
@@ -355,10 +395,10 @@ class TestDrain:
         assert not server._thread.is_alive()
 
     def test_new_connections_refused_while_draining(
-        self, make_server, raw_conn
+        self, make_endpoint, raw_conn
     ):
-        server = make_server(service=_slow_service(0.8))
-        conn = raw_conn(server)
+        endpoint = make_endpoint(service=_slow_service(0.8))
+        conn = raw_conn(endpoint)
         conn.hello()
         conn.send({"type": "solve", "id": "a", "graph": TRIANGLE})
         time.sleep(0.2)
@@ -368,7 +408,7 @@ class TestDrain:
         # turned away with a retriable error (or plain refusal once
         # the listener socket is fully closed)
         try:
-            late = raw_conn(server)
+            late = raw_conn(endpoint)
             refused = late.recv()
             assert refused is None or refused["code"] in (
                 "draining",
