@@ -2,7 +2,8 @@
 
 These are conventional pytest-benchmark measurements (wall time of
 the vectorised host implementation) for the pieces the paper's
-implementation spends its time in: edge lookups, scan/select/sort
+implementation spends its time in: edge lookups (sorted keys on a
+sparse graph, the adjacency bitmap on a dense one), scan/select/sort
 primitives, the multi-run heuristic, one BFS level, and the k-core
 decomposition.
 """
@@ -30,13 +31,28 @@ def device():
     return Device(DeviceSpec(memory_bytes=512 * MIB))
 
 
-def test_batch_edge_lookup(benchmark, graph):
+@pytest.fixture(scope="module")
+def dense_graph():
+    # the fb-hard-30x150 community shape: small enough for the bitmap
+    return gen.caveman_social(4, 150, p_in=0.48, p_out_degree=5.0, seed=5)
+
+
+def _bench_lookup(benchmark, graph, structure):
+    assert graph.lookup_structure == structure
     rng = np.random.default_rng(0)
     u = rng.integers(0, graph.num_vertices, 500_000)
     v = rng.integers(0, graph.num_vertices, 500_000)
-    graph.edge_keys  # build outside the timed region
+    graph.batch_has_edge(u[:1], v[:1])  # build outside the timed region
     out = benchmark(lambda: graph.batch_has_edge(u, v))
     assert out.size == u.size
+
+
+def test_batch_edge_lookup(benchmark, graph):
+    _bench_lookup(benchmark, graph, "keys")
+
+
+def test_batch_edge_lookup_bitmap(benchmark, dense_graph):
+    _bench_lookup(benchmark, dense_graph, "bitmap")
 
 
 def test_batch_edge_lookup_binary(benchmark, graph):

@@ -28,7 +28,7 @@ in shape. Every graph gets its vertex ids randomised, as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,43 +41,60 @@ __all__ = ["DatasetSpec", "SUITE", "load", "names", "iter_suite", "categories"]
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """One suite entry: a named, seeded synthetic graph."""
+    """One suite entry: a named, seeded synthetic graph.
+
+    ``num_edges`` is the recorded undirected edge count of the built
+    graph, so :func:`iter_suite` can filter by size without building;
+    :meth:`build` raises if the graph no longer matches it.
+    """
 
     name: str
     category: str
     builder: Callable[[], CSRGraph]
     seed: int
+    num_edges: int
     notes: str = ""
 
     def build(self) -> CSRGraph:
         """Generate (deterministic) and randomise vertex ids."""
-        return relabel_random(self.builder(), seed=self.seed + 7919)
+        graph = relabel_random(self.builder(), seed=self.seed + 7919)
+        if graph.num_edges != self.num_edges:
+            raise RuntimeError(
+                f"dataset {self.name!r} built {graph.num_edges} edges but "
+                f"records {self.num_edges}; update its recorded count"
+            )
+        return graph
 
 
-def _road(name: str, w: int, h: int, seed: int, **kw) -> DatasetSpec:
+def _road(name: str, w: int, h: int, seed: int, edges: int, **kw) -> DatasetSpec:
     return DatasetSpec(
-        name, "road", lambda: gen.road_grid(w, h, seed=seed, **kw), seed,
+        name, "road", lambda: gen.road_grid(w, h, seed=seed, **kw), seed, edges,
         notes=f"{w}x{h} grid",
     )
 
 
-def _collab(name: str, n: int, teams: int, hi: int, seed: int) -> DatasetSpec:
+def _collab(
+    name: str, n: int, teams: int, hi: int, seed: int, edges: int
+) -> DatasetSpec:
     return DatasetSpec(
         name,
         "collab",
         lambda: gen.team_collaboration(n, teams, team_size_range=(2, hi), seed=seed),
         seed,
+        edges,
         notes=f"n={n}, {teams} teams, max team {hi}",
     )
 
 
-def _bio(name: str, n: int, avg: float, hi: int, seed: int, planted: int = 0) -> DatasetSpec:
+def _bio(
+    name: str, n: int, avg: float, hi: int, seed: int, edges: int, planted: int = 0
+) -> DatasetSpec:
     """Heavy-tailed backbone + protein-complex cliques (team overlay)."""
     if planted:
         return DatasetSpec(
             name, "bio",
             lambda: gen.planted_clique(n, planted, avg_degree=avg, seed=seed),
-            seed, notes=f"n={n}, planted K{planted}",
+            seed, edges, notes=f"n={n}, planted K{planted}",
         )
     return DatasetSpec(
         name, "bio",
@@ -85,11 +102,13 @@ def _bio(name: str, n: int, avg: float, hi: int, seed: int, planted: int = 0) ->
             gen.chung_lu_power_law(n, avg, exponent=2.2, seed=seed),
             gen.team_collaboration(n, n // 8, team_size_range=(3, hi), seed=seed + 1),
         ),
-        seed, notes=f"n={n}, Chung-Lu 2.2 + complexes<= {hi}",
+        seed, edges, notes=f"n={n}, Chung-Lu 2.2 + complexes<= {hi}",
     )
 
 
-def _tech(name: str, n: int, avg: float, hi: int, seed: int) -> DatasetSpec:
+def _tech(
+    name: str, n: int, avg: float, hi: int, seed: int, edges: int
+) -> DatasetSpec:
     """Heavy-tailed backbone + small motif cliques."""
     return DatasetSpec(
         name, "tech",
@@ -97,11 +116,13 @@ def _tech(name: str, n: int, avg: float, hi: int, seed: int) -> DatasetSpec:
             gen.chung_lu_power_law(n, avg, exponent=2.5, seed=seed),
             gen.team_collaboration(n, n // 10, team_size_range=(3, hi), seed=seed + 1),
         ),
-        seed, notes=f"n={n}, Chung-Lu 2.5 + motifs<= {hi}",
+        seed, edges, notes=f"n={n}, Chung-Lu 2.5 + motifs<= {hi}",
     )
 
 
-def _web(name: str, scale: int, ef: int, hi: int, seed: int) -> DatasetSpec:
+def _web(
+    name: str, scale: int, ef: int, hi: int, seed: int, edges: int
+) -> DatasetSpec:
     """R-MAT hub backbone + link-farm cliques.
 
     Bare R-MAT is nearly clique-free; real web graphs are heavily
@@ -117,89 +138,90 @@ def _web(name: str, scale: int, ef: int, hi: int, seed: int) -> DatasetSpec:
             gen.rmat(scale, ef, seed=seed),
             gen.team_collaboration(n, n // 6, team_size_range=(3, hi), seed=seed + 1),
         ),
-        seed, notes=f"RMAT scale {scale}, ef {ef} + farms<= {hi}",
+        seed, edges, notes=f"RMAT scale {scale}, ef {ef} + farms<= {hi}",
     )
 
 
 def _soc(
-    name: str, comms: int, size: int, p_in: float, seed: int, p_out: float = 2.0
+    name: str, comms: int, size: int, p_in: float, seed: int, edges: int,
+    p_out: float = 2.0,
 ) -> DatasetSpec:
     return DatasetSpec(
         name, "social",
         lambda: gen.caveman_social(comms, size, p_in=p_in, p_out_degree=p_out, seed=seed),
-        seed, notes=f"{comms}x{size} communities, p_in={p_in}",
+        seed, edges, notes=f"{comms}x{size} communities, p_in={p_in}",
     )
 
 
 #: The full 58-graph suite (names: category prefix + shape hint).
 SUITE: List[DatasetSpec] = [
     # -- road: 8 (avg degree ~3-4, omega 3-4) --------------------------------
-    _road("road-grid-60", 60, 60, 101),
-    _road("road-grid-90", 90, 90, 102),
-    _road("road-grid-130", 130, 130, 103),
-    _road("road-grid-170", 170, 170, 104),
-    _road("road-grid-210", 210, 210, 105),
-    _road("road-grid-250", 250, 250, 106),
-    _road("road-grid-300", 300, 300, 107),
-    _road("road-grid-360", 360, 360, 108, diagonal_p=0.08),
+    _road("road-grid-60", 60, 60, 101, edges=7_419),
+    _road("road-grid-90", 90, 90, 102, edges=16_749),
+    _road("road-grid-130", 130, 130, 103, edges=35_113),
+    _road("road-grid-170", 170, 170, 104, edges=60_230),
+    _road("road-grid-210", 210, 210, 105, edges=91_927),
+    _road("road-grid-250", 250, 250, 106, edges=130_383),
+    _road("road-grid-300", 300, 300, 107, edges=188_037),
+    _road("road-grid-360", 360, 360, 108, diagonal_p=0.08, edges=276_660),
     # -- collab: 10 (low degree, clique-heavy) -------------------------------
-    _collab("ca-team-1k", 1_000, 700, 9, 201),
-    _collab("ca-team-2k", 2_000, 1_500, 9, 202),
-    _collab("ca-team-4k", 4_000, 3_000, 11, 203),
-    _collab("ca-team-8k", 8_000, 6_000, 11, 204),
-    _collab("ca-team-12k", 12_000, 9_000, 13, 205),
-    _collab("ca-team-16k", 16_000, 12_000, 13, 206),
-    _collab("ca-team-24k", 24_000, 18_000, 15, 207),
-    _collab("ca-team-32k", 32_000, 24_000, 17, 208),
-    _collab("ca-team-48k", 48_000, 36_000, 19, 209),
-    _collab("ca-team-64k", 64_000, 48_000, 21, 210),
+    _collab("ca-team-1k", 1_000, 700, 9, 201, edges=3_692),
+    _collab("ca-team-2k", 2_000, 1_500, 9, 202, edges=8_045),
+    _collab("ca-team-4k", 4_000, 3_000, 11, 203, edges=20_673),
+    _collab("ca-team-8k", 8_000, 6_000, 11, 204, edges=42_941),
+    _collab("ca-team-12k", 12_000, 9_000, 13, 205, edges=78_026),
+    _collab("ca-team-16k", 16_000, 12_000, 13, 206, edges=105_503),
+    _collab("ca-team-24k", 24_000, 18_000, 15, 207, edges=181_845),
+    _collab("ca-team-32k", 32_000, 24_000, 17, 208, edges=276_067),
+    _collab("ca-team-48k", 48_000, 36_000, 19, 209, edges=469_129),
+    _collab("ca-team-64k", 64_000, 48_000, 21, 210, edges=687_718),
     # -- bio: 8 (heavy tail + protein complexes) ------------------------------
-    _bio("bio-cl-1k", 1_000, 6.0, 10, 301),
-    _bio("bio-cl-2k", 2_000, 7.0, 12, 302),
-    _bio("bio-cl-4k", 4_000, 8.0, 14, 303),
-    _bio("bio-cl-8k", 8_000, 8.0, 16, 304),
-    _bio("bio-plant-3k", 3_000, 5.0, 0, 305, planted=12),
-    _bio("bio-plant-6k", 6_000, 5.0, 0, 306, planted=14),
-    _bio("bio-plant-12k", 12_000, 6.0, 0, 307, planted=16),
-    _bio("bio-cl-16k", 16_000, 9.0, 20, 308),
+    _bio("bio-cl-1k", 1_000, 6.0, 10, 301, edges=4_574),
+    _bio("bio-cl-2k", 2_000, 7.0, 12, 302, edges=10_360),
+    _bio("bio-cl-4k", 4_000, 8.0, 14, 303, edges=24_139),
+    _bio("bio-cl-8k", 8_000, 8.0, 16, 304, edges=51_970),
+    _bio("bio-plant-3k", 3_000, 5.0, 0, 305, planted=12, edges=8_694),
+    _bio("bio-plant-6k", 6_000, 5.0, 0, 306, planted=14, edges=17_346),
+    _bio("bio-plant-12k", 12_000, 6.0, 0, 307, planted=16, edges=41_522),
+    _bio("bio-cl-16k", 16_000, 9.0, 20, 308, edges=121_919),
     # -- tech: 8 (heavy tail + motifs, lower degree) ---------------------------
-    _tech("tech-cl-2k", 2_000, 4.0, 6, 401),
-    _tech("tech-cl-4k", 4_000, 4.0, 7, 402),
-    _tech("tech-cl-8k", 8_000, 5.0, 8, 403),
-    _tech("tech-cl-12k", 12_000, 5.0, 9, 404),
-    _tech("tech-cl-20k", 20_000, 5.0, 10, 405),
-    _tech("tech-cl-28k", 28_000, 6.0, 11, 406),
-    _tech("tech-cl-40k", 40_000, 6.0, 12, 407),
-    _tech("tech-cl-56k", 56_000, 6.0, 13, 408),
+    _tech("tech-cl-2k", 2_000, 4.0, 6, 401, edges=5_910),
+    _tech("tech-cl-4k", 4_000, 4.0, 7, 402, edges=12_388),
+    _tech("tech-cl-8k", 8_000, 5.0, 8, 403, edges=30_687),
+    _tech("tech-cl-12k", 12_000, 5.0, 9, 404, edges=47_031),
+    _tech("tech-cl-20k", 20_000, 5.0, 10, 405, edges=79_971),
+    _tech("tech-cl-28k", 28_000, 6.0, 11, 406, edges=133_835),
+    _tech("tech-cl-40k", 40_000, 6.0, 12, 407, edges=195_976),
+    _tech("tech-cl-56k", 56_000, 6.0, 13, 408, edges=279_619),
     # -- web: 10 (R-MAT hubs + link farms) -------------------------------------
-    _web("web-rmat-10", 10, 6, 8, 501),
-    _web("web-rmat-11", 11, 6, 9, 502),
-    _web("web-rmat-12a", 12, 6, 10, 503),
-    _web("web-rmat-12b", 12, 10, 12, 504),
-    _web("web-rmat-13a", 13, 6, 12, 505),
-    _web("web-rmat-13b", 13, 10, 14, 506),
-    _web("web-rmat-14a", 14, 6, 14, 507),
-    _web("web-rmat-14b", 14, 8, 16, 508),
-    _web("web-rmat-15", 15, 6, 16, 509),
-    _web("web-rmat-16", 16, 4, 18, 510),
+    _web("web-rmat-10", 10, 6, 8, 501, edges=5_909),
+    _web("web-rmat-11", 11, 6, 9, 502, edges=12_732),
+    _web("web-rmat-12a", 12, 6, 10, 503, edges=26_586),
+    _web("web-rmat-12b", 12, 10, 12, 504, edges=38_719),
+    _web("web-rmat-13a", 13, 6, 12, 505, edges=58_081),
+    _web("web-rmat-13b", 13, 10, 14, 506, edges=83_304),
+    _web("web-rmat-14a", 14, 6, 14, 507, edges=126_003),
+    _web("web-rmat-14b", 14, 8, 16, 508, edges=155_354),
+    _web("web-rmat-15", 15, 6, 16, 509, edges=268_023),
+    _web("web-rmat-16", 16, 4, 18, 510, edges=460_118),
     # -- social: 14 (dense communities; hardest to prune) ----------------------
-    _soc("soc-comm-10x50", 10, 50, 0.45, 601),
-    _soc("soc-comm-20x60", 20, 60, 0.44, 602),
-    _soc("soc-comm-30x70", 30, 70, 0.44, 603),
-    _soc("soc-comm-60x80", 60, 80, 0.42, 604, p_out=4.0),
-    _soc("fb-comm-30x100", 30, 100, 0.44, 605, p_out=4.0),
-    _soc("fb-comm-30x110", 30, 110, 0.46, 606, p_out=4.0),
-    _soc("fb-comm-40x120", 40, 120, 0.44, 607, p_out=5.0),
-    _soc("fb-comm-20x130", 20, 130, 0.48, 608, p_out=5.0),
-    _soc("fb-comm-24x120", 24, 120, 0.46, 609, p_out=5.0),
-    _soc("soc-comm-50x90", 50, 90, 0.46, 611, p_out=4.0),
+    _soc("soc-comm-10x50", 10, 50, 0.45, 601, edges=5_954),
+    _soc("soc-comm-20x60", 20, 60, 0.44, 602, edges=16_852),
+    _soc("soc-comm-30x70", 30, 70, 0.44, 603, edges=33_810),
+    _soc("soc-comm-60x80", 60, 80, 0.42, 604, p_out=4.0, edges=88_990),
+    _soc("fb-comm-30x100", 30, 100, 0.44, 605, p_out=4.0, edges=71_020),
+    _soc("fb-comm-30x110", 30, 110, 0.46, 606, p_out=4.0, edges=89_225),
+    _soc("fb-comm-40x120", 40, 120, 0.44, 607, p_out=5.0, edges=137_595),
+    _soc("fb-comm-20x130", 20, 130, 0.48, 608, p_out=5.0, edges=86_891),
+    _soc("fb-comm-24x120", 24, 120, 0.46, 609, p_out=5.0, edges=86_261),
+    _soc("soc-comm-50x90", 50, 90, 0.46, 611, p_out=4.0, edges=101_433),
     # hard to prune: average degree far above omega; full BF expected OOM,
     # windowed expected to succeed (the paper's "+4 graphs" group)
-    _soc("fb-hard-30x150", 30, 150, 0.48, 612, p_out=5.0),
-    _soc("fb-hard-40x150", 40, 150, 0.50, 615, p_out=5.0),
+    _soc("fb-hard-30x150", 30, 150, 0.48, 612, p_out=5.0, edges=171_213),
+    _soc("fb-hard-40x150", 40, 150, 0.50, 615, p_out=5.0, edges=238_268),
     # two "monsters" expected OOM even windowed (friendster/flickr analogue)
-    _soc("fb-monster-40x250", 40, 250, 0.55, 613, p_out=6.0),
-    _soc("fb-monster-50x280", 50, 280, 0.58, 614, p_out=6.0),
+    _soc("fb-monster-40x250", 40, 250, 0.55, 613, p_out=6.0, edges=714_885),
+    _soc("fb-monster-50x280", 50, 280, 0.58, 614, p_out=6.0, edges=1_173_930),
 ]
 
 _BY_NAME: Dict[str, DatasetSpec] = {spec.name: spec for spec in SUITE}
@@ -242,18 +264,18 @@ def iter_suite(
 ) -> Iterator[Tuple[DatasetSpec, CSRGraph]]:
     """Yield ``(spec, graph)`` pairs, optionally filtered.
 
-    ``max_edges`` filters *after* generation (graphs are memoised, so
-    repeated sweeps are cheap); ``limit`` caps the yielded count --
-    handy for smoke tests and scaled-down benchmark runs.
+    ``max_edges`` filters on the recorded edge counts *before*
+    generation, so only the graphs yielded are built (and memoised);
+    ``limit`` caps the yielded count -- handy for smoke tests and
+    scaled-down benchmark runs.
     """
     count = 0
     for spec in SUITE:
         if categories is not None and spec.category not in categories:
             continue
-        graph = load(spec.name)
-        if max_edges is not None and graph.num_edges > max_edges:
+        if max_edges is not None and spec.num_edges > max_edges:
             continue
-        yield spec, graph
+        yield spec, load(spec.name)
         count += 1
         if limit is not None and count >= limit:
             return

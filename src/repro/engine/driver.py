@@ -37,10 +37,13 @@ degenerates to the lane's own, the scan at ``SCAN_OPS``/thread), so
 
 Host-side vectorisation note: the per-thread inner loops are
 materialised as flat pair arrays in chunks of ``chunk_pairs`` to
-bound host memory; chunking affects wall time only. Model time
-charges each thread ``tail_length * binary_search_cost + 1`` ops for
-the count pass and the same again for the output pass, exactly the
-two passes the kernels make.
+bound host memory; chunking affects wall time only. The host answers
+each connectivity check once: the count pass keeps the hits of the
+threads that survive the prune and the driver hands them to the
+output pass, which writes them without re-querying the graph. Model
+time still charges each thread ``tail_length * binary_search_cost +
+1`` ops for the count pass and the same again for the output pass,
+exactly the two passes the kernels make.
 """
 
 from __future__ import annotations
@@ -231,7 +234,9 @@ class LevelDriver:
             # CountCliques: per-thread cost = tail * binary-search + 1
             thread_cost = tail.astype(np.float64) * lookup_cost[vertex] + 1.0
             device.launch(thread_cost, name="count_cliques")
-            counts = kind.count(graph, vertex, tail, self.chunk_pairs)
+            counts, hits = kind.count(
+                graph, vertex, tail, self.chunk_pairs, bar - k
+            )
 
             # prune new sublists that cannot reach the bound
             generated = int(counts.sum())
@@ -266,7 +271,7 @@ class LevelDriver:
                     state=state,
                 )
 
-            offsets, total_new = P.exclusive_scan(device, counts)
+            _, total_new = P.exclusive_scan(device, counts)
             if total_new == 0:
                 return BFSOutcome(
                     clique_list=clique_list, omega=k, levels=levels, state=state
@@ -280,10 +285,7 @@ class LevelDriver:
                 np.empty(total_new, dtype=np.int32),
             )
             device.launch(thread_cost + 1.0, name="output_new_cliques")
-            kind.output(
-                graph, vertex, tail, counts, offsets,
-                new_node.vertex.a, new_node.sublist.a, self.chunk_pairs,
-            )
+            kind.output(vertex, hits, new_node.vertex.a, new_node.sublist.a)
 
     # ------------------------------------------------------------------
     # fused schedule: a group of lanes, merged launches per level
@@ -379,11 +381,13 @@ class LevelDriver:
             device.launch(merged, name="count_cliques")
 
             # per-lane counts, pruning, merged scan accounting
-            all_counts = []
+            all_counts, all_hits = [], []
             for la, tail in zip(active, tails):
                 node = la.clique_list.head
                 k = node.level
-                counts = kind.count(graph, node.vertex.a, tail, self.chunk_pairs)
+                counts, hits = kind.count(
+                    graph, node.vertex.a, tail, self.chunk_pairs, bar - k
+                )
                 generated = int(counts.sum())
                 prune_mask = (counts + k) < bar
                 pruned = int(counts[prune_mask].sum())
@@ -397,17 +401,15 @@ class LevelDriver:
                     level_sink(stats)
                 kind.on_level(graph, device, la.clique_list, counts, la.state)
                 all_counts.append(counts)
+                all_hits.append(hits)
             device.launch(
                 P.SCAN_OPS, n_threads=total_threads, name="exclusive_scan"
             )
 
             # merged OutputNewCliques launch, then per-lane output passes
             device.launch(merged + 1.0, name="output_new_cliques")
-            for la, tail, counts in zip(active, tails, all_counts):
+            for la, counts, hits in zip(active, all_counts, all_hits):
                 node = la.clique_list.head
-                offsets = np.zeros(counts.size, dtype=np.int64)
-                if counts.size:
-                    np.cumsum(counts[:-1], out=offsets[1:])
                 total_new = int(counts.sum())
                 if total_new == 0:
                     la.done = True
@@ -418,6 +420,5 @@ class LevelDriver:
                     np.empty(total_new, dtype=np.int32),
                 )
                 kind.output(
-                    graph, node.vertex.a, tail, counts, offsets,
-                    new_node.vertex.a, new_node.sublist.a, self.chunk_pairs,
+                    node.vertex.a, hits, new_node.vertex.a, new_node.sublist.a
                 )

@@ -8,18 +8,26 @@ inner loops. They contain *no* device accounting -- the
 which is what lets one pass implementation serve both the isolated
 (one search) and fused (merged concurrent-window) launch schedules.
 
-Moved here from ``repro.core.bfs`` (which re-exports them under their
-historical underscore names) so the search adapters no longer reach
-into each other's private helpers.
+The count pass hands its hits to the output pass: OutputNewCliques
+writes exactly the successful lookups of the threads that survive the
+prune, so the host answers each connectivity check once although the
+driver charges both kernels' binary searches, as the paper's two
+passes make them.
 """
 
 from __future__ import annotations
+
+from typing import List, Tuple
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 
+#: ``(thread, partner)`` int32 index pairs of surviving count-pass hits
+Hits = Tuple[np.ndarray, np.ndarray]
+
 __all__ = [
+    "Hits",
     "chunk_slices",
     "expand_pairs",
     "count_pass",
@@ -47,68 +55,85 @@ def chunk_slices(tail: np.ndarray, chunk_pairs: int):
 
 
 def expand_pairs(tail_slice: np.ndarray, start: int):
-    """Flat (idx1, idx2) pair arrays for threads [start, start+len)."""
+    """Flat int32 (idx1, idx2) pair arrays for threads [start, start+len).
+
+    Thread indices address one clique-list node, whose int32 arrays
+    bound them, so int32 holds every index and halves the traffic.
+    """
     total = int(tail_slice.sum())
-    reps = tail_slice.astype(np.int64)
-    idx1 = start + np.repeat(np.arange(tail_slice.size, dtype=np.int64), reps)
-    ends = np.cumsum(reps)
-    starts = ends - reps
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, reps)
+    idx1 = np.repeat(
+        np.arange(start, start + tail_slice.size, dtype=np.int32), tail_slice
+    )
+    first = (np.cumsum(tail_slice) - tail_slice).astype(np.int32)
+    within = np.arange(total, dtype=np.int32) - np.repeat(first, tail_slice)
     idx2 = idx1 + 1 + within
     return idx1, idx2
 
 
 def count_pass(
-    graph: CSRGraph, vertex: np.ndarray, tail: np.ndarray, chunk_pairs: int
-) -> np.ndarray:
-    """Per-thread successful-lookup counts (CountCliques)."""
-    n = tail.size
-    counts = np.zeros(n, dtype=np.int64)
-    for start, stop in chunk_slices(tail, chunk_pairs):
-        idx1, idx2 = expand_pairs(tail[start:stop], start)
-        found = graph.batch_has_edge(vertex[idx1], vertex[idx2])
-        if found.any():
-            counts[start:stop] += np.bincount(
-                idx1[found] - start, minlength=stop - start
-            )
-    return counts
-
-
-def output_pass(
     graph: CSRGraph,
     vertex: np.ndarray,
     tail: np.ndarray,
-    counts: np.ndarray,
-    offsets: np.ndarray,
+    chunk_pairs: int,
+    min_count: int,
+) -> Tuple[np.ndarray, Hits]:
+    """Per-thread successful-lookup counts (CountCliques), plus hits.
+
+    Returns ``(counts, hits)``. ``hits`` holds the int32 ``(thread,
+    partner)`` index pairs of every successful lookup whose thread
+    survives the prune, i.e. has ``count >= max(min_count, 1)``;
+    ``min_count`` is the driver's ``bar - k``. Chunks hold whole
+    threads in ascending order, so the hits come out in exactly the
+    order OutputNewCliques writes them (:func:`output_pass`).
+    """
+    n = tail.size
+    counts = np.zeros(n, dtype=np.int64)
+    floor = max(min_count, 1)
+    threads: List[np.ndarray] = []
+    partners: List[np.ndarray] = []
+    for start, stop in chunk_slices(tail, chunk_pairs):
+        reps = tail[start:stop]
+        idx1, idx2 = expand_pairs(reps, start)
+        found = graph.batch_has_edge(
+            np.repeat(vertex[start:stop], reps), vertex[idx2]
+        )
+        hit = np.flatnonzero(found)
+        if hit.size == 0:
+            continue
+        f1 = idx1[hit]
+        chunk_counts = np.bincount(f1 - start, minlength=stop - start)
+        counts[start:stop] = chunk_counts
+        survive = chunk_counts >= floor
+        if not survive.all():
+            keep = survive[f1 - start]
+            f1, hit = f1[keep], hit[keep]
+        threads.append(f1)
+        partners.append(idx2[hit])
+    if not threads:
+        empty = np.zeros(0, dtype=np.int32)
+        return counts, (empty, empty)
+    return counts, (np.concatenate(threads), np.concatenate(partners))
+
+
+def output_pass(
+    vertex: np.ndarray,
+    hits: Hits,
     new_vertex: np.ndarray,
     new_sublist: np.ndarray,
-    chunk_pairs: int,
 ) -> None:
-    """Write surviving candidates into the new node (OutputNewCliques)."""
-    live = counts > 0
-    for start, stop in chunk_slices(tail, chunk_pairs):
-        idx1, idx2 = expand_pairs(tail[start:stop], start)
-        # pruned threads (count zeroed) write nothing
-        keep = live[idx1]
-        idx1, idx2 = idx1[keep], idx2[keep]
-        if idx1.size == 0:
-            continue
-        found = graph.batch_has_edge(vertex[idx1], vertex[idx2])
-        f1 = idx1[found]
-        f2 = idx2[found]
-        # output position: thread offset + rank among the thread's hits
-        # (f1 is non-decreasing, so ranks come from run starts)
-        if f1.size:
-            run_start = np.flatnonzero(
-                np.concatenate(([True], f1[1:] != f1[:-1]))
-            )
-            run_len = np.diff(np.concatenate([run_start, [f1.size]]))
-            rank = np.arange(f1.size, dtype=np.int64) - np.repeat(
-                run_start, run_len
-            )
-            pos = offsets[f1] + rank
-            new_vertex[pos] = vertex[f2]
-            new_sublist[pos] = f1.astype(np.int32)
+    """Write surviving candidates into the new node (OutputNewCliques).
+
+    ``hits`` are the count pass's surviving ``(thread, partner)``
+    pairs, already in output order: entry ``i`` of the new node is
+    candidate ``vertex[partner[i]]`` with back-pointer ``thread[i]``
+    (the thread's own entry, the shared parent). Threads the driver
+    pruned after the count pass contributed no hits, so nothing is
+    re-expanded or re-queried here.
+    """
+    thread, partner = hits
+    assert thread.size == new_vertex.size, "hits do not match the new node"
+    np.take(vertex, partner, out=new_vertex)
+    new_sublist[:] = thread
 
 
 def run_boundaries_host(values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ them so :class:`~repro.engine.driver.LevelDriver` and
 
 * the **count/output kernel bodies** (``count`` / ``output``; all
   kinds currently share the paper's passes, but a kind may override
-  them);
+  them -- ``count`` returns the surviving hits the driver hands to
+  ``output``);
 * **ω̄-pruning applicability** (``effective_bar``): max-clique prunes
   sublists that cannot reach the bound; the counting and enumeration
   kinds must visit every clique, so their bar is 0 (the driver's
@@ -49,7 +50,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from ..core.config import PROBLEM_KINDS
-from .passes import count_pass, output_pass
+from .passes import Hits, chunk_slices, count_pass, output_pass
 
 __all__ = [
     "KindState",
@@ -98,19 +99,19 @@ class ProblemKind:
     # ------------------------------------------------------------------
     # kernel bodies (the paper's passes; kinds may substitute their own)
     # ------------------------------------------------------------------
-    def count(self, graph, vertex, tail, chunk_pairs) -> np.ndarray:
-        """The CountCliques pass body."""
-        return count_pass(graph, vertex, tail, chunk_pairs)
+    def count(
+        self, graph, vertex, tail, chunk_pairs, min_count
+    ) -> Tuple[np.ndarray, Hits]:
+        """The CountCliques pass body: ``(counts, surviving hits)``.
 
-    def output(
-        self, graph, vertex, tail, counts, offsets, new_vertex, new_sublist,
-        chunk_pairs,
-    ) -> None:
-        """The OutputNewCliques pass body."""
-        output_pass(
-            graph, vertex, tail, counts, offsets, new_vertex, new_sublist,
-            chunk_pairs,
-        )
+        ``min_count`` is the prune threshold ``bar - k``; hits of
+        threads below it are not kept (see :func:`count_pass`).
+        """
+        return count_pass(graph, vertex, tail, chunk_pairs, min_count)
+
+    def output(self, vertex, hits, new_vertex, new_sublist) -> None:
+        """The OutputNewCliques pass body, fed the count pass's hits."""
+        output_pass(vertex, hits, new_vertex, new_sublist)
 
     # ------------------------------------------------------------------
     # per-search hooks
@@ -174,7 +175,8 @@ class MaximalEnumKind(ProblemKind):
     iff no vertex of the graph is adjacent to all of its members. The
     verification is charged as one ``check_maximal`` launch with a
     thread per candidate (each thread intersects the members'
-    adjacency lists, cost ~ level).
+    adjacency lists, cost ~ level); the host checks a level's
+    candidates together (:func:`_has_no_common_neighbour`).
     """
 
     name = "maximal-enum"
@@ -196,19 +198,47 @@ class MaximalEnumKind(ProblemKind):
         device.launch(
             float(level), n_threads=int(zero.size), name="check_maximal"
         )
-        rows = clique_list.read_cliques(entries=zero)
-        for row in rows:
-            members = row.astype(np.int64)
-            common = graph.neighbors(int(members[0]))
-            for v in members[1:]:
-                if common.size == 0:
-                    break
-                common = np.intersect1d(
-                    common, graph.neighbors(int(v)), assume_unique=True
-                )
-            if common.size == 0:
-                state.count += 1
-                state.cliques.append(tuple(int(v) for v in np.sort(members)))
+        rows = clique_list.read_cliques(entries=zero).astype(np.int64)
+        maximal = _has_no_common_neighbour(graph, rows)
+        found = np.sort(rows[maximal], axis=1)
+        state.count += len(found)
+        state.cliques.extend(tuple(r) for r in found.tolist())
+
+
+#: max edge queries per ``_has_no_common_neighbour`` batch (host memory)
+_CHECK_QUERIES = 1 << 22
+
+
+def _has_no_common_neighbour(graph, rows: np.ndarray) -> np.ndarray:
+    """Per row of clique members: True iff no vertex is adjacent to all.
+
+    A common neighbour must be a neighbour of the row's lowest-degree
+    member (the pivot), so each of the pivot's neighbours is tested
+    against the other members -- one ``batch_has_edge`` call per batch
+    of rows. Members are never their own neighbours (no self loops),
+    so a member among the pivot's neighbours fails its own test.
+    """
+    m, width = rows.shape
+    maximal = np.ones(m, dtype=bool)
+    ro = graph.row_offsets
+    pick = np.argmin(graph.degrees[rows], axis=1)
+    pivot = rows[np.arange(m), pick]
+    others_mask = np.ones(rows.shape, dtype=bool)
+    others_mask[np.arange(m), pick] = False
+    others = rows[others_mask].reshape(m, width - 1)
+    n_cand = ro[pivot + 1] - ro[pivot]
+    for start, stop in chunk_slices(n_cand * (width - 1), _CHECK_QUERIES):
+        reps = n_cand[start:stop]
+        row = np.repeat(np.arange(start, stop), reps)
+        first = np.cumsum(reps) - reps
+        pos = np.repeat(ro[pivot[start:stop]] - first, reps)
+        cand = graph.col_indices[pos + np.arange(row.size)]
+        adjacent = graph.batch_has_edge(
+            np.repeat(cand, width - 1), others[row].ravel()
+        )
+        common = adjacent.reshape(row.size, width - 1).all(axis=1)
+        maximal[row[common]] = False
+    return maximal
 
 
 #: The default kind: the paper's maximum clique enumeration.

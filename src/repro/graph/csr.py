@@ -2,26 +2,36 @@
 
 The paper stores the input graph in CSR with sorted adjacency lists in
 GPU global memory and answers every edge query with a binary search
-(Section III-3). We mirror that: :class:`CSRGraph` keeps ``row_offsets``
-/ ``col_indices`` with each row sorted, and
+(Section III-3). :class:`CSRGraph` keeps ``row_offsets`` /
+``col_indices`` with each row sorted, and
 :meth:`CSRGraph.batch_has_edge` answers millions of queries per call.
 
-Two lookup strategies are provided:
+Two lookup methods are provided:
 
-* ``"keys"`` (default) -- a single vectorised ``searchsorted`` over the
-  globally sorted ``row * n + col`` edge-key array. Because rows are
-  stored in increasing row order and each row is sorted, the key array
-  is globally sorted, so one call resolves an arbitrary batch.
+* ``"keys"`` (default) -- the host fast path. It answers from one of
+  two structures, fixed per graph by a size rule with no knob:
+
+  - a packed adjacency **bitmap** (``n`` rows of ``ceil(n/8)`` bytes;
+    one gather and a bit test per query) when it is no larger than
+    the key array below, i.e. when ``n * ceil(n/8) <= 16 * |E|``
+    bytes -- dense graphs;
+  - otherwise the globally sorted ``row * n + col`` **edge keys**
+    (rows are stored in increasing order and each row is sorted, so
+    the keys are globally sorted) and one vectorised
+    ``searchsorted`` per batch.
+
+  The chosen structure (:attr:`CSRGraph.lookup_structure`) is built
+  lazily on the first query and memoised; a graph never builds both.
 * ``"binary"`` -- an explicit lockstep binary search over per-row
   ranges, iterating ``ceil(log2(max_degree))`` vectorised steps. This
   is the faithful transcription of the device kernel and is used to
   cross-validate the fast path in tests.
 
-Either way, the *cost charged to the device* is the same: one binary
-search of the source vertex's adjacency list, i.e.
+Whichever answers, the *cost charged to the device* is the same: one
+binary search of the source vertex's adjacency list, i.e.
 ``ceil(log2(deg(u) + 1)) + 1`` ops per query -- this is the dominant
 work term of Algorithm 2 and the reason high-degree graphs run slower
-(Section V-A).
+(Section V-A). The host structure never enters model time.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ class CSRGraph:
     __slots__ = (
         "row_offsets",
         "col_indices",
-        "_edge_keys",
+        "_lookup_table",
         "_lookup_cost",
         "_fingerprint",
     )
@@ -69,7 +79,7 @@ class CSRGraph:
     ) -> None:
         self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
         self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int32)
-        self._edge_keys: Optional[np.ndarray] = None
+        self._lookup_table: Optional[np.ndarray] = None
         self._lookup_cost: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
         if validate:
@@ -150,15 +160,44 @@ class CSRGraph:
     # edge lookup
     # ------------------------------------------------------------------
     @property
-    def edge_keys(self) -> np.ndarray:
-        """Globally sorted ``row * n + col`` keys (built lazily)."""
-        if self._edge_keys is None:
+    def lookup_structure(self) -> str:
+        """Fast-path structure: ``"bitmap"`` or ``"keys"`` (size rule).
+
+        The bitmap is used iff its ``n * ceil(n/8)`` bytes are no more
+        than the ``8 * 2|E|`` bytes of the int64 edge-key array.
+        """
+        n = self.num_vertices
+        if n * ((n + 7) >> 3) <= 8 * self.col_indices.size:
+            return "bitmap"
+        return "keys"
+
+    def _table(self) -> np.ndarray:
+        """The memoised fast-path structure (built on first use)."""
+        if self._lookup_table is None:
             n = self.num_vertices
             rows = np.repeat(
                 np.arange(n, dtype=np.int64), np.diff(self.row_offsets)
             )
-            self._edge_keys = rows * n + self.col_indices.astype(np.int64)
-        return self._edge_keys
+            cols = self.col_indices
+            if self.lookup_structure == "keys":
+                self._lookup_table = rows * n + cols.astype(np.int64)
+            else:
+                # (row, col) pairs are globally sorted, so the byte
+                # indices are non-decreasing; the bits of one byte are
+                # distinct, so summing each run of equal indices ORs them
+                width = (n + 7) >> 3
+                byte = rows * width + (cols >> 3)
+                bit = np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8))
+                bits = np.zeros(n * width, dtype=np.uint8)
+                if byte.size:
+                    starts = np.flatnonzero(
+                        np.concatenate(([True], byte[1:] != byte[:-1]))
+                    )
+                    bits[byte[starts]] = np.add.reduceat(
+                        bit, starts, dtype=np.uint8
+                    )
+                self._lookup_table = bits
+        return self._lookup_table
 
     @property
     def lookup_cost(self) -> np.ndarray:
@@ -186,12 +225,13 @@ class CSRGraph:
         Parameters
         ----------
         u, v:
-            Equal-length integer arrays of endpoints.
+            Equal-length integer arrays of endpoints in ``[0, n)``.
         device:
             When given, charges the device one kernel with the per-query
             binary-search cost ``ceil(log2(deg(u)+1)) + 1``.
         method:
-            ``"keys"`` (fast path) or ``"binary"`` (faithful lockstep
+            ``"keys"`` (fast path: bitmap or sorted keys, see
+            :attr:`lookup_structure`) or ``"binary"`` (faithful lockstep
             search used for validation).
         """
         u = np.asarray(u)
@@ -206,14 +246,26 @@ class CSRGraph:
         if u.size == 0:
             return np.zeros(0, dtype=bool)
         if method == "keys":
+            if self.lookup_structure == "bitmap":
+                return self._lookup_bitmap(u, v)
             return self._lookup_keys(u, v)
         if method == "binary":
             return self._lookup_binary(u, v)
         raise ValueError(f"unknown lookup method {method!r}")
 
+    def _lookup_bitmap(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        bits = self._table()
+        idx = u.astype(np.int64)
+        idx *= (self.num_vertices + 7) >> 3
+        idx += v >> 3
+        out = bits[idx]
+        out >>= (v & 7).astype(np.uint8)
+        out &= 1
+        return out.view(bool)
+
     def _lookup_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         n = self.num_vertices
-        keys = self.edge_keys
+        keys = self._table()
         q = u.astype(np.int64) * n + v.astype(np.int64)
         pos = np.searchsorted(keys, q)
         found = pos < keys.size

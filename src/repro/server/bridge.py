@@ -342,16 +342,17 @@ class SolveBridge:
                 with self._cond:
                     self._in_flight = 0
 
-    def _run_batch(self, batch: List[_Pending]) -> None:
-        try:
-            self._run_batch_inner(batch)
-        finally:
-            # finished jobs no longer expose a resume point
-            with self._cond:
-                for pending in batch:
-                    self._checkpoints.pop(pending.request.job_id, None)
+    def _finish(self, job_id: str) -> None:
+        """Mark a job done and drop its checkpoint in one locked step.
 
-    def _run_batch_inner(self, batch: List[_Pending]) -> None:
+        A reader that sees state ``done`` must never see the finished
+        job's checkpoint (a finished job exposes no resume point).
+        """
+        with self._cond:
+            self._checkpoints.pop(job_id, None)
+            self._states[job_id] = DONE
+
+    def _run_batch(self, batch: List[_Pending]) -> None:
         by_id = {p.request.job_id: p for p in batch}
         try:
             for pending in batch:
@@ -360,7 +361,7 @@ class SolveBridge:
         except BaseException as exc:  # a service-layer invariant broke
             log.exception("bridge batch of %d job(s) failed", len(batch))
             for pending in batch:
-                self._states[pending.request.job_id] = DONE
+                self._finish(pending.request.job_id)
                 if not pending.future.done():
                     pending.future.set_exception(
                         ServerError(f"internal service failure: {exc}")
@@ -371,14 +372,14 @@ class SolveBridge:
             pending = by_id.get(record.job_id)
             if pending is None:
                 continue  # a record from an earlier, unrelated run
-            self._states[record.job_id] = DONE
+            self._finish(record.job_id)
             if not pending.future.done():
                 pending.future.set_result(record)
                 matched += 1
         if matched != len(batch):  # pragma: no cover - defensive
             for pending in batch:
                 if not pending.future.done():
-                    self._states[pending.request.job_id] = DONE
+                    self._finish(pending.request.job_id)
                     pending.future.set_exception(
                         ServerError("service returned no record for this job")
                     )

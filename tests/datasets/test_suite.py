@@ -3,6 +3,9 @@
 import pytest
 
 from repro.datasets import MONSTERS, SUITE, categories, iter_suite, load, names
+from repro.datasets import suite as suite_module
+from repro.datasets.suite import DatasetSpec
+from repro.graph import from_edge_list
 
 
 class TestSuiteShape:
@@ -56,6 +59,25 @@ class TestLoading:
         for spec, graph in iter_suite(max_edges=20_000):
             graph.validate()
             assert graph.num_edges > 500, spec.name
+
+    def test_max_edges_filters_before_building(self, monkeypatch):
+        built = []
+        real_load = suite_module.load
+
+        def spy(name):
+            built.append(name)
+            return real_load(name)
+
+        monkeypatch.setattr(suite_module, "load", spy)
+        got = [spec.name for spec, _ in iter_suite(max_edges=8_000)]
+        expected = [s.name for s in SUITE if s.num_edges <= 8_000]
+        assert got == expected and built == expected
+
+    def test_build_rejects_a_stale_edge_count(self):
+        triangle = lambda: from_edge_list([(0, 1), (1, 2), (0, 2)])
+        assert DatasetSpec("t", "road", triangle, 1, 3).build().num_edges == 3
+        with pytest.raises(RuntimeError, match="records 4"):
+            DatasetSpec("t", "road", triangle, 1, 4).build()
 
     def test_iter_filters(self):
         road = list(iter_suite(categories=["road"]))

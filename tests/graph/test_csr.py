@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph import CSRGraph, from_edge_list
+from repro.graph import CSRGraph, from_edge_array, from_edge_list
 from repro.graph import generators as gen
 from repro.gpusim import Device, DeviceSpec
 
@@ -180,3 +180,73 @@ class TestEdgeLookup:
         got = g.batch_has_edge(u, v)
         want = np.array([b in adj[a] for a, b in zip(u.tolist(), v.tolist())])
         assert (got == want).all()
+
+
+def _rule(n, num_edges):
+    """The documented size rule: bitmap iff it is no larger than the keys."""
+    return "bitmap" if n * ((n + 7) // 8) <= 16 * num_edges else "keys"
+
+
+class TestLookupStructure:
+    @given(
+        n=st.integers(0, 90),
+        density=st.sampled_from([0.0, 0.004, 0.015, 0.03, 0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    @example(n=0, density=0.0, seed=0, dtype=np.int64)
+    @example(n=1, density=0.0, seed=0, dtype=np.int32)
+    @example(n=13, density=1.0, seed=1, dtype=np.int32)
+    @example(n=64, density=0.004, seed=2, dtype=np.int64)
+    @settings(max_examples=80, deadline=None)
+    def test_fast_path_matches_binary_and_scalar(self, n, density, seed, dtype):
+        rng = np.random.default_rng(seed)
+        iu, iv = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < density
+        g = from_edge_array(iu[keep], iv[keep], num_vertices=n)
+        assert g.num_vertices == n
+        expected = _rule(n, g.num_edges)
+        assert g.lookup_structure == expected
+        q = 0 if n == 0 else 400
+        u = rng.integers(0, max(n, 1), q).astype(dtype)
+        v = rng.integers(0, max(n, 1), q).astype(dtype)
+        if n:  # always ask about every stored edge too
+            su, sv = g.to_edge_list()
+            u = np.concatenate([u, su.astype(dtype), sv.astype(dtype)])
+            v = np.concatenate([v, sv.astype(dtype), su.astype(dtype)])
+        fast = g.batch_has_edge(u, v, method="keys")
+        binary = g.batch_has_edge(u, v, method="binary")
+        scalar = np.array(
+            [g.has_edge(int(a), int(b)) for a, b in zip(u, v)], dtype=bool
+        )
+        assert fast.dtype == bool and fast.shape == u.shape
+        assert (fast == binary).all()
+        assert (fast == scalar).all()
+        # the memo holds exactly the chosen structure
+        table = g._lookup_table
+        if q:
+            assert table is not None
+            assert table.dtype == (np.uint8 if expected == "bitmap" else np.int64)
+            if expected == "bitmap":
+                assert table.nbytes == n * ((n + 7) // 8)
+
+    def test_dense_graph_uses_bitmap(self):
+        g = gen.caveman_social(4, 60, p_in=0.45, seed=3)
+        assert g.lookup_structure == "bitmap"
+
+    def test_sparse_graph_uses_keys(self):
+        g = gen.road_grid(30, 30, seed=1)
+        assert g.lookup_structure == "keys"
+
+    def test_rule_boundary_is_inclusive(self):
+        # n=16 -> a 32-byte bitmap; 2 edges -> 32 bytes of keys
+        g = from_edge_list([(0, 1), (2, 3)], num_vertices=16)
+        assert g.lookup_structure == "bitmap"
+        g = from_edge_list([(0, 1)], num_vertices=16)
+        assert g.lookup_structure == "keys"
+
+    def test_empty_graph_answers_empty_batches(self):
+        g = CSRGraph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32))
+        assert g.lookup_structure == "bitmap"
+        out = g.batch_has_edge(np.zeros(0, np.int32), np.zeros(0, np.int32))
+        assert out.size == 0
