@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.heuristics import multi_run_greedy
 from repro.core.setup import build_two_clique_list
-from repro.core.bfs import bfs_search
+from repro.engine import LevelDriver
 from repro.graph import core_numbers
 from repro.graph import generators as gen
 from repro.gpusim import Device, DeviceSpec, primitives as P
@@ -108,7 +108,7 @@ def test_full_bfs_small_graph(benchmark, device):
 
     def run():
         src, dst, _ = build_two_clique_list(g, 2, device)
-        out = bfs_search(g, src, dst, 2, device)
+        out = LevelDriver(g, device).run(src, dst, 2)
         omega = out.omega
         out.clique_list.free_all()
         return omega

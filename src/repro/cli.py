@@ -174,17 +174,13 @@ def _checkpoint_round_trip(args: argparse.Namespace, graph, config):
     """
     if args.checkpoint is None:
         return None, None
-    if config.problem != "max-clique":
-        raise SystemExit(
-            "error: --checkpoint is only defined for the max-clique "
-            f"problem kind (got --problem {config.problem})"
-        )
-    if not config.windowed:
-        raise SystemExit(
-            "error: --checkpoint requires a windowed search (set --window)"
-        )
     from .core.checkpoint import load_checkpoint
     from .core.config import config_fingerprint
+    from .engine.problems import checkpoint_refusal
+
+    refusal = checkpoint_refusal(config)
+    if refusal is not None:
+        raise SystemExit(f"error: --checkpoint: {refusal}")
 
     path = Path(args.checkpoint)
     checkpoint = None

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import __version__
 from ..core.config import config_fingerprint
+from ..engine.problems import resumable
 from ..errors import ProtocolError, ServerError
 from ..log import get_logger
 from ..server import protocol
@@ -440,11 +441,7 @@ class Router(WireEndpoint):
                 k: v for k, v in frame.items() if k not in ("id", "deadline_s")
             },
             key=key,
-            resumable=(
-                request.config.windowed
-                and request.config.window_fanout == 1
-                and problem == "max-clique"
-            ),
+            resumable=resumable(request.config),
             checkpoint=frame.get("checkpoint"),
             deadline_at=(
                 request.deadline.at if request.deadline is not None else None

@@ -1,9 +1,9 @@
 """The paper's core contribution: breadth-first maximum clique enumeration."""
 
-from .bfs import BFSOutcome, bfs_search
+from ..engine.driver import BFSOutcome
+from ..engine.sweep import WindowedOutcome, auto_window_size, split_windows
 from .checkpoint import SearchCheckpoint, load_checkpoint
 from .clique_counts import clique_profile, count_k_cliques
-from .concurrent import concurrent_windowed_search
 from .clique_list import CliqueList, CliqueListNode
 from .config import (
     FINGERPRINT_VERSION,
@@ -30,7 +30,6 @@ from .result import (
 from .setup import build_two_clique_list, vertex_upper_bounds
 from .solver import MaxCliqueSolver, find_maximum_cliques
 from .verify import VerificationError, is_clique, is_maximal_clique, verify_result
-from .windowed import WindowedOutcome, auto_window_size, split_windows, windowed_search
 
 __all__ = [
     "MaxCliqueSolver",
@@ -52,9 +51,7 @@ __all__ = [
     "WindowStats",
     "CliqueList",
     "CliqueListNode",
-    "bfs_search",
     "BFSOutcome",
-    "windowed_search",
     "WindowedOutcome",
     "split_windows",
     "auto_window_size",
@@ -74,5 +71,4 @@ __all__ = [
     "VerificationError",
     "clique_profile",
     "count_k_cliques",
-    "concurrent_windowed_search",
 ]

@@ -7,7 +7,7 @@ graph's k-clique profile (#edges, #triangles, #K4, ...). This module
 exposes that as a public API -- useful on its own (k-clique counting
 is a standard kernel in dense-subgraph mining) and as the exact
 ground truth for memory-planning heuristics like
-:func:`repro.core.windowed.auto_window_size`.
+:func:`repro.engine.sweep.auto_window_size`.
 
 Memory note: the full profile needs the same candidate storage as an
 unpruned search; pass a roomy device, a ``max_k`` cutoff, or accept
@@ -21,10 +21,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..engine.driver import LevelDriver
 from ..graph.csr import CSRGraph
 from ..gpusim.device import Device
 from ..gpusim.spec import DeviceSpec
-from .clique_list import CliqueList
 from .config import SublistOrder
 from .setup import build_two_clique_list
 
@@ -62,14 +62,10 @@ def clique_profile(
     src, dst, _ = build_two_clique_list(
         graph, 2, device, sublist_order=SublistOrder.INDEX
     )
-    from .bfs import bfs_search
-
     if max_k is not None and max_k <= 2:
         return profile
 
-    outcome = bfs_search(
-        graph, src, dst, 2, device, chunk_pairs=chunk_pairs
-    )
+    outcome = LevelDriver(graph, device, chunk_pairs=chunk_pairs).run(src, dst, 2)
     try:
         for node in outcome.clique_list.nodes[1:]:
             k = node.level

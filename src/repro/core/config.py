@@ -116,10 +116,11 @@ class SolverConfig:
         Early termination in the spirit of Algorithm 2 line 36: stop
         as soon as no surviving branch can exceed the heuristic bound
         (every count satisfies ``count + k == ω̄``). The paper's
-        literal trigger (total count = ω̄ - k + 1) is unsound -- see
-        ``repro.core.bfs.bfs_search`` -- so the sound variant is
-        implemented. Only valid when not enumerating all maximum
-        cliques.
+        literal trigger (total count = ω̄ - k + 1) is unsound -- a
+        single surviving chain can still extend past ω̄ when the
+        heuristic undershot -- so the sound variant is implemented
+        (:class:`repro.engine.driver.LevelDriver`). Only valid when
+        not enumerating all maximum cliques.
     chunk_pairs:
         Host-side vectorisation chunk (pairs per batch); affects wall
         time only, never results or model time.

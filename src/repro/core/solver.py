@@ -12,9 +12,14 @@ composable stages over one shared execution context (see
    and within-sublist ordering,
 5. ``bfs`` / ``windowed`` -- the breadth-first search: full
    (enumerating every maximum clique) or windowed (one maximum clique
-   under a memory budget). All three search flavours (full, windowed,
-   concurrent-fanout) are configurations of the single level loop in
-   :class:`repro.engine.driver.LevelDriver` (docs/ARCHITECTURE.md).
+   under a memory budget). The stages call the engine's two entry
+   points, :meth:`repro.engine.driver.LevelDriver.run` and
+   :func:`repro.engine.sweep.window_sweep`, which share the single
+   level loop (docs/ARCHITECTURE.md).
+
+Inputs with a closed-form answer (empty or edgeless graphs, k <= 2
+counts) are answered by the problem kind's ``trivial`` hook without
+running the pipeline.
 
 Pass a recording tracer (:class:`repro.trace.JsonTracer`) to observe
 per-stage spans and per-kernel events; the default no-op tracer leaves
@@ -34,17 +39,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
+from ..engine.problems import resolve_kind
 from ..gpusim.device import Device
 from ..graph.csr import CSRGraph
 from ..trace import NULL_TRACER, Tracer
 from ..errors import SolverConfigError
 from .config import SolverConfig
-from .result import HeuristicReport, MaxCliqueResult, SolveResult
+from .result import MaxCliqueResult, SolveResult
 
 if TYPE_CHECKING:  # pipeline imports this module's package: keep lazy
-    from ..pipeline.context import ExecutionContext
     from ..pipeline.stages import Stage
 
 __all__ = ["MaxCliqueSolver", "find_maximum_cliques"]
@@ -133,76 +136,11 @@ class MaxCliqueSolver:
             checkpoint=self.checkpoint,
             checkpoint_sink=self.checkpoint_sink,
         )
-        trivial = self._trivial_result(ctx)
+        trivial = resolve_kind(self.config).trivial(ctx)
         if trivial is not None:
             return trivial
         run_pipeline(self.stages(), ctx)
         return ctx.result
-
-    # ------------------------------------------------------------------
-    def _trivial_result(self, ctx: "ExecutionContext"):
-        """Handle cases solved without a pipeline run.
-
-        Empty and edgeless graphs for every kind, plus the k <= 2
-        closed forms of k-clique counting (k=1 counts vertices, k=2
-        counts edges -- the level loop's root is already level 2).
-        """
-        from ..pipeline.stages import build_result
-
-        graph = self.graph
-        if self.config.problem == "k-clique-count":
-            return self._trivial_kclique(ctx)
-        if self.config.problem == "maximal-enum":
-            return self._trivial_maximal(ctx)
-        if graph.num_vertices == 0:
-            ctx.heuristic = HeuristicReport("none", 0, np.zeros(0, dtype=np.int32))
-            return build_result(
-                ctx,
-                omega=0,
-                count=0,
-                cliques=np.zeros((0, 0), dtype=np.int32),
-                found_by="trivial",
-            )
-        if graph.num_edges == 0:
-            # every vertex is a maximum clique of size 1
-            n = graph.num_vertices
-            cap = min(n, self.config.max_cliques_report)
-            cliques = np.arange(cap, dtype=np.int32).reshape(-1, 1)
-            ctx.heuristic = HeuristicReport("none", 1, np.zeros(0, dtype=np.int32))
-            return build_result(
-                ctx,
-                omega=1,
-                count=n,
-                cliques=cliques,
-                found_by="trivial",
-            )
-        return None
-
-    def _trivial_kclique(self, ctx: "ExecutionContext"):
-        from ..pipeline.stages import build_kclique_result
-
-        graph, k = self.graph, self.config.k
-        if k == 1:
-            return build_kclique_result(
-                ctx, count=graph.num_vertices, found_by="trivial"
-            )
-        if k == 2:
-            return build_kclique_result(
-                ctx, count=graph.num_edges, found_by="trivial"
-            )
-        if graph.num_vertices == 0 or graph.num_edges == 0:
-            return build_kclique_result(ctx, count=0, found_by="trivial")
-        return None
-
-    def _trivial_maximal(self, ctx: "ExecutionContext"):
-        from ..pipeline.stages import build_maximal_result
-
-        graph = self.graph
-        if graph.num_vertices == 0 or graph.num_edges == 0:
-            # every vertex (if any) is an isolated singleton; the
-            # builder collects them from the degree array
-            return build_maximal_result(ctx, harvested=[], found_by="trivial")
-        return None
 
 
 def find_maximum_cliques(

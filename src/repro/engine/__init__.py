@@ -5,10 +5,12 @@ rather than reimplements (see docs/ARCHITECTURE.md):
 
 * :mod:`~repro.engine.driver` -- :class:`LevelDriver`, the single
   implementation of the paper's count / scan / output breadth-first
-  level loop (Algorithm 2). The sequential, windowed, and
-  concurrent-fanout searches in :mod:`repro.core` are thin adapters
-  over it; :mod:`~repro.engine.sweep` adds the shared window sweep
-  (splitting, ordering, adaptive retry, checkpointing).
+  level loop (Algorithm 2); :mod:`~repro.engine.sweep` adds the
+  window sweep (splitting, ordering, adaptive retry, checkpointing).
+  The full, windowed and concurrent-windows searches are pipeline
+  stage configurations of these two entry points, and
+  :mod:`~repro.engine.problems` supplies what differs per problem
+  kind, result assembly included.
 * :mod:`~repro.engine.executor` -- the :class:`Executor` protocol the
   solve service drains batches through: :class:`SerialExecutor` (the
   reference order) and :class:`ThreadedExecutor` (one worker per
@@ -16,9 +18,9 @@ rather than reimplements (see docs/ARCHITECTURE.md):
   records to serial).
 
 ``engine`` sits between :mod:`repro.gpusim` (which it charges) and
-:mod:`repro.core` (which configures it); it must never import from
-``core.bfs`` / ``core.windowed`` / ``core.concurrent`` or anything
-above them.
+the pipeline (which configures it); it may import core's data model
+but never ``core.solver``, :mod:`repro.pipeline`, or anything above
+them.
 """
 
 from .driver import BFSOutcome, LevelDriver
@@ -36,16 +38,19 @@ from .problems import (
     KindState,
     MaximalEnumKind,
     ProblemKind,
+    checkpoint_refusal,
     merge_state,
     resolve_kind,
+    resumable,
 )
-from .sweep import WindowedOutcome, window_sweep
+from .sweep import WindowedOutcome, order_groups, window_sweep
 
 __all__ = [
     "LevelDriver",
     "BFSOutcome",
     "WindowedOutcome",
     "window_sweep",
+    "order_groups",
     "ProblemKind",
     "KindState",
     "KCliqueCountKind",
@@ -53,6 +58,8 @@ __all__ = [
     "MAX_CLIQUE",
     "resolve_kind",
     "merge_state",
+    "checkpoint_refusal",
+    "resumable",
     "chunk_slices",
     "expand_pairs",
     "count_pass",

@@ -58,7 +58,7 @@ from ..gpusim.device import Device
 from ..graph.csr import CSRGraph
 from ..core.clique_list import CliqueList
 from ..core.deadline import Deadline
-from ..core.result import LevelStats
+from ..core.result import HeuristicReport, LevelStats, WindowStats
 from .passes import run_boundaries_host
 from .problems import MAX_CLIQUE, ProblemKind
 
@@ -101,6 +101,35 @@ class BFSOutcome:
     @property
     def candidates_pruned(self) -> int:
         return sum(s.pruned for s in self.levels)
+
+    @property
+    def windows(self) -> List[WindowStats]:
+        """A full search runs no windows."""
+        return []
+
+    @property
+    def search_memory_bytes(self) -> int:
+        """Clique-list storage: a full search never frees a level."""
+        return self.clique_list.total_bytes
+
+    def witness(self, heuristic: HeuristicReport, limit: int):
+        """``(omega, count, cliques, found_by)`` of a max-clique search.
+
+        When setup pruned every 2-clique (``omega == 0``) or the early
+        exit fired, the heuristic clique is a maximum clique. Otherwise
+        the head node holds every maximum clique; the first ``limit``
+        are read back with their rows sorted.
+        """
+        if self.omega == 0 or self.stopped_by_heuristic:
+            clique = np.sort(heuristic.clique)
+            return int(clique.size), 1, clique.reshape(1, -1), "heuristic"
+        cliques = self.clique_list.read_cliques(limit=limit)
+        return (
+            self.omega,
+            self.clique_list.head.size,
+            np.sort(cliques, axis=1),
+            "search",
+        )
 
 
 @dataclass

@@ -23,9 +23,13 @@ them so :class:`~repro.engine.driver.LevelDriver` and
   maximal-enum collects zero-extension entries (after a maximality
   check against the full graph), k-clique counting reads the size of
   the stopping level;
-* the **result shape**, via the :class:`KindState` accumulator the
-  driver threads through the search and the sweep merges across
-  windows.
+* the **result**: the :class:`KindState` accumulator the driver
+  threads through the search (the sweep merges it across windows),
+  the closed-form answers that need no search (``trivial``), and the
+  assembly of the kind's result type from a search outcome
+  (``result``) -- the pipeline stages never branch on the kind;
+* **resumability** (``supports_checkpoint``, read by
+  :func:`checkpoint_refusal`).
 
 ``MAX_CLIQUE`` is the default kind and is behaviour-identical to the
 pre-kind driver: identity bar, no stop level, no harvest, the same
@@ -50,6 +54,13 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from ..core.config import PROBLEM_KINDS
+from ..core.result import (
+    HeuristicReport,
+    KCliqueCountResult,
+    MaxCliqueResult,
+    MaximalEnumResult,
+    SolveResult,
+)
 from .passes import Hits, chunk_slices, count_pass, output_pass
 
 __all__ = [
@@ -60,6 +71,9 @@ __all__ = [
     "MAX_CLIQUE",
     "resolve_kind",
     "merge_state",
+    "checkpoint_refusal",
+    "resumable",
+    "max_clique_result",
     "PROBLEM_KINDS",
 ]
 
@@ -135,6 +149,52 @@ class ProblemKind:
     def harvest_stop(self, clique_list, state) -> None:
         """Harvest hook, called when ``stop_level`` ends the search."""
 
+    # ------------------------------------------------------------------
+    # result assembly (``ctx`` is the pipeline's ExecutionContext)
+    # ------------------------------------------------------------------
+    def trivial(self, ctx) -> Optional[SolveResult]:
+        """The result of an input solved without a pipeline run, or None.
+
+        The empty graph has ω = 0; in an edgeless graph every vertex
+        is a maximum clique of size 1.
+        """
+        n = ctx.graph.num_vertices
+        if n == 0:
+            return max_clique_result(
+                ctx, 0, 0, np.zeros((0, 0), dtype=np.int32), "trivial",
+                heuristic=HeuristicReport("none", 0, np.zeros(0, dtype=np.int32)),
+            )
+        if ctx.graph.num_edges == 0:
+            cap = min(n, ctx.config.max_cliques_report)
+            return max_clique_result(
+                ctx, 1, n, np.arange(cap, dtype=np.int32).reshape(-1, 1),
+                "trivial",
+                heuristic=HeuristicReport("none", 1, np.zeros(0, dtype=np.int32)),
+            )
+        return None
+
+    def result(self, ctx, outcome) -> SolveResult:
+        """Assemble the solve's result from a search outcome.
+
+        ``outcome`` is a :class:`~repro.engine.driver.BFSOutcome` or a
+        :class:`~repro.engine.sweep.WindowedOutcome`; each knows how to
+        produce its maximum-clique witness.
+        """
+        omega, count, cliques, found_by = outcome.witness(
+            ctx.heuristic, ctx.config.max_cliques_report
+        )
+        # a search that setup pruned to nothing counts no pruned
+        # candidates (the heuristic clique is then the answer)
+        pruned = (
+            outcome.candidates_pruned + ctx.setup_stats.pruned_2cliques
+            if outcome.omega
+            else 0
+        )
+        return max_clique_result(
+            ctx, omega, count, cliques, found_by, outcome,
+            candidates_pruned=int(pruned),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
 
@@ -165,6 +225,30 @@ class KCliqueCountKind(ProblemKind):
 
     def harvest_stop(self, clique_list, state) -> None:
         state.count += clique_list.head.size
+
+    def trivial(self, ctx) -> Optional[KCliqueCountResult]:
+        """Closed forms: k = 1 counts vertices, k = 2 counts edges (the
+        level loop's root is already level 2); an edgeless graph has
+        no larger cliques."""
+        graph = ctx.graph
+        if self.stop_level == 1:
+            count = graph.num_vertices
+        elif self.stop_level == 2:
+            count = graph.num_edges
+        elif graph.num_edges == 0:
+            count = 0
+        else:
+            return None
+        return KCliqueCountResult(
+            k=self.stop_level, count=count, found_by="trivial",
+            **ctx.telemetry(),
+        )
+
+    def result(self, ctx, outcome) -> KCliqueCountResult:
+        return KCliqueCountResult(
+            k=self.stop_level, count=int(outcome.state.count),
+            **ctx.telemetry(outcome),
+        )
 
 
 class MaximalEnumKind(ProblemKind):
@@ -203,6 +287,34 @@ class MaximalEnumKind(ProblemKind):
         found = np.sort(rows[maximal], axis=1)
         state.count += len(found)
         state.cliques.extend(tuple(r) for r in found.tolist())
+
+    def trivial(self, ctx) -> Optional[MaximalEnumResult]:
+        """Without edges every vertex is an isolated singleton."""
+        if ctx.graph.num_edges == 0:
+            return self._result(ctx, [], "trivial")
+        return None
+
+    def result(self, ctx, outcome) -> MaximalEnumResult:
+        return self._result(ctx, outcome.state.cliques, "search", outcome)
+
+    @staticmethod
+    def _result(ctx, harvested, found_by, outcome=None) -> MaximalEnumResult:
+        """``harvested`` (sorted vertex tuples, sizes >= 2) plus the
+        isolated vertices, which never enter the 2-clique list, in
+        canonical (size, lexicographic) order and capped at
+        ``max_cliques_report`` (the total stays exact)."""
+        singles = [(int(v),) for v in np.flatnonzero(ctx.graph.degrees == 0)]
+        ordered = sorted(singles + list(harvested), key=lambda c: (len(c), c))
+        total = len(ordered)
+        cap = ctx.config.max_cliques_report
+        return MaximalEnumResult(
+            num_maximal_cliques=total,
+            max_clique_size=len(ordered[-1]) if ordered else 0,
+            cliques=ordered[:cap],
+            enumerated_all=total <= cap,
+            found_by=found_by,
+            **ctx.telemetry(outcome),
+        )
 
 
 #: max edge queries per ``_has_no_common_neighbour`` batch (host memory)
@@ -254,6 +366,55 @@ def resolve_kind(config) -> ProblemKind:
     if config.problem != "max-clique":  # pragma: no cover - config validates
         raise ValueError(f"unknown problem kind {config.problem!r}")
     return MAX_CLIQUE
+
+
+def checkpoint_refusal(config) -> Optional[str]:
+    """Why windowed checkpoint/resume cannot serve ``config`` (None: it can).
+
+    Only a sequential (``window_fanout == 1``) windowed sweep is
+    resumable: concurrent windows interleave their ω̄ updates, and a
+    windows-done checkpoint does not capture the accumulated state of
+    a kind without ``supports_checkpoint``.
+    """
+    if not resolve_kind(config).supports_checkpoint:
+        return (
+            "checkpoint/resume is only defined for the max-clique "
+            f"problem kind (got problem={config.problem!r})"
+        )
+    if not config.windowed:
+        return "checkpoint/resume requires a windowed search (set a window size)"
+    if config.window_fanout > 1:
+        return (
+            "checkpoint/resume requires window_fanout == 1 "
+            "(the concurrent-windows sweep is not resumable)"
+        )
+    return None
+
+
+def resumable(config) -> bool:
+    """Whether a solve under ``config`` can checkpoint and resume."""
+    return checkpoint_refusal(config) is None
+
+
+def max_clique_result(
+    ctx, omega, count, cliques, found_by, outcome=None, heuristic=None,
+    **fields,
+) -> MaxCliqueResult:
+    """A :class:`MaxCliqueResult` with the context's shared telemetry.
+
+    ``fields`` sets further result fields (e.g. ``candidates_pruned``);
+    ``heuristic`` defaults to the context's heuristic report.
+    """
+    return MaxCliqueResult(
+        clique_number=int(omega),
+        num_maximum_cliques=int(count),
+        cliques=cliques,
+        found_by=found_by,
+        enumerated_all=ctx.config.enumerate_all,
+        heuristic=heuristic if heuristic is not None else ctx.heuristic,
+        **fields,
+        **ctx.telemetry(outcome),
+    )
 
 
 def merge_state(acc: Optional[KindState], part: Any) -> None:

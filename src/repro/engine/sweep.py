@@ -1,4 +1,4 @@
-"""The window sweep shared by the sequential and concurrent searches.
+"""The window sweep behind the sequential and concurrent windowed searches.
 
 When the full breadth-first candidate set cannot fit in device memory,
 the 2-clique list is split into *windows* and the level loop runs on
@@ -11,10 +11,10 @@ window's clique list is freed before the next begins -- peak memory is
 set by the largest single-window (or single-group) subtree instead of
 the whole search.
 
-:func:`window_sweep` owns everything the two historical copies in
-``core/windowed.py`` and ``core/concurrent.py`` used to duplicate:
-window splitting and ordering, the ω̄ carry, per-window deadline
-checks, peak accounting, adaptive splitting, and checkpoint capture.
+:func:`window_sweep` owns window splitting and ordering, the ω̄
+carry, per-window deadline checks, peak accounting, adaptive
+splitting, and checkpoint capture. The windowed pipeline stage calls
+it directly.
 The per-level work is delegated to
 :class:`~repro.engine.driver.LevelDriver` -- isolated launches for
 ``fanout=1``, merged (fused) launches for ``fanout>1`` -- so
@@ -33,9 +33,10 @@ from ..errors import DeviceLostError, DeviceOOMError
 from ..gpusim.device import Device
 from ..graph.csr import CSRGraph
 from ..core.checkpoint import SearchCheckpoint
+from ..core.clique_list import CliqueList
 from ..core.config import WindowOrder
 from ..core.deadline import Deadline, as_deadline
-from ..core.result import LevelStats, WindowStats
+from ..core.result import HeuristicReport, LevelStats, WindowStats
 from .driver import BFSOutcome, LevelDriver
 from .problems import MAX_CLIQUE, ProblemKind, merge_state
 
@@ -68,6 +69,20 @@ class WindowedOutcome:
     stopped_by_heuristic: bool = False
     adaptive_splits: int = 0
     state: Any = None
+
+    @property
+    def search_memory_bytes(self) -> int:
+        """The largest single-window (or single-group) clique list."""
+        return self.peak_window_bytes
+
+    def witness(self, heuristic: HeuristicReport, limit: int):
+        """``(omega, count, cliques, found_by)`` of a max-clique sweep.
+
+        A sweep solves for one maximum clique, so ``limit`` is unused;
+        the answer is credited to the heuristic when no window beat it.
+        """
+        found_by = "heuristic" if self.omega == heuristic.lower_bound else "search"
+        return self.omega, 1, np.sort(self.best_clique).reshape(1, -1), found_by
 
 
 def auto_window_size(
@@ -173,6 +188,26 @@ def split_range(src: np.ndarray, a: int, b: int):
     mid = seg.size // 2
     cut = int(change[np.argmin(np.abs(change - mid))])
     return [(a, a + cut), (a + cut, b)]
+
+
+def _fold_best(
+    best: int, best_clique: np.ndarray, omega: int, clique_list: CliqueList
+) -> Tuple[int, np.ndarray]:
+    """Fold one window's answer into the sweep's ``(best, best_clique)``.
+
+    A deeper window raises ``best``. The witness is read from the
+    window's head node whenever the held one is shorter than ``best``
+    and the head sits at level ``best``: with no heuristic clique the
+    sweep starts at ``best = ω̄`` with an empty witness, so a window
+    that only *matches* ``best`` must still supply one, and an
+    early-exited window reports ω̄ from a shallower head.
+    """
+    if not clique_list.nodes:
+        return best, best_clique
+    best = max(best, omega)
+    if best_clique.size < best and clique_list.head.level == best:
+        best_clique = clique_list.read_cliques(limit=1)[0]
+    return best, best_clique
 
 
 def window_sweep(
@@ -338,9 +373,9 @@ def _sequential_sweep(
                 exc.checkpoint = snapshot(interrupted=(a, b))
             raise
         try:
-            if result.omega > best and result.clique_list.nodes:
-                best = result.omega
-                best_clique = result.clique_list.read_cliques(limit=1)[0]
+            best, best_clique = _fold_best(
+                best, best_clique, result.omega, result.clique_list
+            )
             merge_state(outcome.state, result.state)
             outcome.levels.extend(result.levels)
             outcome.candidates_stored += result.candidates_stored
@@ -403,9 +438,9 @@ def _fused_sweep(
                 )
             driver.run_fused(lanes, bar, level_sink=level_sink, kind=kind)
             for la in lanes:
-                if la.omega > best and la.clique_list.nodes:
-                    best = la.omega
-                    best_clique = la.clique_list.read_cliques(limit=1)[0]
+                best, best_clique = _fold_best(
+                    best, best_clique, la.omega, la.clique_list
+                )
                 merge_state(outcome.state, la.state)
                 outcome.candidates_stored += la.clique_list.total_candidates
             peak = device.pool.peak_bytes - base

@@ -22,7 +22,6 @@ from .stages import (
     Stage,
     TwoCliqueSetupStage,
     WindowedSearchStage,
-    build_result,
     default_stages,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "TwoCliqueSetupStage",
     "FullSearchStage",
     "WindowedSearchStage",
-    "build_result",
     "default_stages",
     "run_pipeline",
 ]

@@ -20,18 +20,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..core.result import HeuristicReport, SetupStats, SolveResult
 from ..gpusim.device import Device
 from ..graph.csr import CSRGraph
 from ..trace import NULL_TRACER, Tracer
 
-if TYPE_CHECKING:  # type-only: repro.core imports this package back
+if TYPE_CHECKING:
     from ..core.checkpoint import SearchCheckpoint
     from ..core.config import SolverConfig
-    from ..core.result import HeuristicReport, MaxCliqueResult, SetupStats
 
 __all__ = ["ExecutionContext"]
 
@@ -48,14 +48,14 @@ class ExecutionContext:
 
     # --- carried stage-to-stage state -------------------------------
     ranks: Optional[np.ndarray] = None
-    heuristic: Optional["HeuristicReport"] = None
+    heuristic: Optional[HeuristicReport] = None
     #: carried lower bound ω̄: seeded by the heuristic stage, raised by
     #: search stages as better cliques are found
     omega_bar: int = 2
     src: Optional[np.ndarray] = None
     dst: Optional[np.ndarray] = None
-    setup_stats: Optional["SetupStats"] = None
-    result: Optional["MaxCliqueResult"] = None
+    setup_stats: Optional[SetupStats] = None
+    result: Optional[SolveResult] = None
 
     # --- checkpoint/resume ------------------------------------------
     #: resume point for the windowed search (validated by the stage)
@@ -124,6 +124,34 @@ class ExecutionContext:
         return self.tracer.span(
             name, category=category, model_clock=self.model_clock, **attrs
         )
+
+    def telemetry(self, outcome=None) -> Dict[str, Any]:
+        """The result fields every problem kind shares, captured now.
+
+        Peak memory and model time are per-solve deltas. ``outcome`` (a
+        search outcome) adds its levels, windows, stored candidates and
+        search bytes. ``stage_times`` is attached *by reference*: the
+        runner finishes filling it (the search stage's own entry lands
+        after the stage returns), so the result sees the complete
+        breakdown.
+        """
+        device = self.device
+        fields: Dict[str, Any] = dict(
+            setup=self.setup_stats if self.setup_stats is not None else SetupStats(),
+            peak_memory_bytes=device.pool.peak_bytes - self.base_mem,
+            device_stats=device.stats(),
+            model_time_s=device.model_time_s - self.m0,
+            wall_time_s=time.perf_counter() - self.t0,
+            stage_times=self.stage_times,
+        )
+        if outcome is not None:
+            fields.update(
+                levels=outcome.levels,
+                windows=outcome.windows,
+                candidates_stored=int(outcome.candidates_stored),
+                search_memory_bytes=int(outcome.search_memory_bytes),
+            )
+        return fields
 
     def defer(self, fn: Callable[[], None]) -> None:
         """Register a cleanup run (LIFO) when the pipeline finishes."""

@@ -27,7 +27,8 @@ from .admission import (
     estimate_memory,
     windowed_variant,
 )
-from .cache import ResultCache, config_fingerprint, request_key
+from ..core.config import config_fingerprint
+from .cache import ResultCache, request_key
 from .jobs import load_jobs, parse_jobs, resolve_graph
 from .policy import DegradationPolicy
 from .pool import DeviceHealth, DevicePool

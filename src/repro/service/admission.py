@@ -8,7 +8,7 @@ launch which side of that trade-off a job lands on is the admission
 controller's purpose: it estimates the device bytes a solve will need
 from the same quantities :mod:`repro.gpusim` charges (CSR residency,
 2-clique list nodes, Moon-Moser candidate expansion -- the estimator
-used by ``repro.core.windowed.auto_window_size``) and picks one of
+used by :func:`repro.engine.sweep.auto_window_size`) and picks one of
 
 * **full** -- the plain breadth-first enumeration fits comfortably;
 * **windowed** -- the full search is projected over budget, so the
@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..core.config import SolverConfig
+from ..engine.problems import resolve_kind
 from ..graph.csr import CSRGraph
 
 __all__ = ["MemoryEstimate", "AdmissionDecision", "AdmissionController", "estimate_memory"]
@@ -87,8 +88,8 @@ def estimate_memory(graph: CSRGraph, config: Optional[SolverConfig] = None) -> M
     root by a Moon-Moser factor of the average sublist tail (the full
     search never frees a level, Section II-D).
 
-    The estimate is kind-aware: a ``k-clique-count`` solve stops its
-    level loop at level ``k``, so its expansion is the depth-truncated
+    The estimate is kind-aware: a kind with a ``stop_level`` (the
+    ``k-clique-count`` kind stops at level ``k``) has the depth-truncated
     per-level growth ``(1 + avg_tail)^(k-2)`` (never more than the
     open-ended Moon-Moser bound); ``maximal-enum`` runs the same
     unbounded expansion as ``max-clique`` (Moon-Moser is already the
@@ -99,8 +100,8 @@ def estimate_memory(graph: CSRGraph, config: Optional[SolverConfig] = None) -> M
     two_clique = BYTES_PER_CANDIDATE * m
     avg_tail = max(m / n - 1.0, 0.0)
     expansion = float(3.0 ** (min(avg_tail, _TAIL_CAP) / 3.0))
-    if config is not None and config.problem == "k-clique-count":
-        k = int(config.k if config.k is not None else 3)
+    k = resolve_kind(config).stop_level if config is not None else None
+    if k is not None:
         if k <= 2:
             truncated = 1.0  # closed form, no level loop runs
         else:

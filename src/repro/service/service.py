@@ -42,6 +42,7 @@ from ..core.config import SolverConfig
 from ..core.result import KCliqueCountResult, MaximalEnumResult
 from ..core.solver import MaxCliqueSolver
 from ..engine.executor import Executor, resolve_executor
+from ..engine.problems import resumable
 from ..errors import (
     CheckpointError,
     DeviceLostError,
@@ -363,17 +364,7 @@ class SolveService:
         latest = [None]  # newest completed-window checkpoint (sink cell)
         external_sink = request.checkpoint_sink
 
-        def _resumable(cfg: SolverConfig) -> bool:
-            # resume is only sound for sequential windowed max-clique
-            # sweeps (other kinds carry cross-window accumulators a
-            # window checkpoint cannot express)
-            return (
-                cfg.windowed
-                and cfg.window_fanout == 1
-                and cfg.problem == "max-clique"
-            )
-
-        if request.checkpoint is not None and _resumable(config):
+        if request.checkpoint is not None and resumable(config):
             # checkpoint-shipped failover: a router (or caller) handed
             # us the resume point of a solve that died elsewhere
             checkpoint = request.checkpoint
@@ -382,7 +373,7 @@ class SolveService:
         while True:
             record.attempts += 1
             m0 = device.model_time_s
-            if _resumable(config):
+            if resumable(config):
                 if external_sink is not None:
                     def sink(ckpt, _latest=latest):
                         _latest[0] = ckpt

@@ -6,7 +6,7 @@ import pytest
 from repro import Device, DeviceSpec, find_maximum_cliques
 from repro.baselines import maximum_cliques_via_bk
 from repro.core.setup import build_two_clique_list
-from repro.core.windowed import windowed_search
+from repro.engine import LevelDriver, window_sweep
 from repro.errors import DeviceOOMError, SolverConfigError
 from repro.graph import generators as gen
 
@@ -17,9 +17,7 @@ def _tight_budget(graph) -> int:
     """A budget too small for one big window, workable when split."""
     dev = Device(DeviceSpec(memory_bytes=1 << 26))
     src, dst, _ = build_two_clique_list(graph, 2, dev)
-    from repro.core.bfs import bfs_search
-
-    out = bfs_search(graph, src, dst, 2, dev)
+    out = LevelDriver(graph, dev).run(src, dst, 2)
     need = out.clique_list.total_bytes
     out.clique_list.free_all()
     return need // 16 + graph.num_edges * 16 + 100_000
@@ -35,11 +33,11 @@ class TestAdaptiveWindowing:
         dev = Device(DeviceSpec(memory_bytes=budget))
         src, dst, _ = build_two_clique_list(g, 2, dev)
         with pytest.raises(DeviceOOMError):
-            windowed_search(g, src, dst, 2, empty, dev, window_size=1 << 20)
+            window_sweep(g, src, dst, 2, empty, dev, window_size=1 << 20)
 
         dev = Device(DeviceSpec(memory_bytes=budget))
         src, dst, _ = build_two_clique_list(g, 2, dev)
-        out = windowed_search(
+        out = window_sweep(
             g, src, dst, 2, empty, dev, window_size=1 << 20, adaptive=True
         )
         assert out.omega == ref
@@ -74,7 +72,7 @@ class TestAdaptiveWindowing:
         g = gen.erdos_renyi(30, 0.3, seed=9)
         dev = Device(DeviceSpec(memory_bytes=1 << 26))
         src, dst, _ = build_two_clique_list(g, 2, dev)
-        out = windowed_search(
+        out = window_sweep(
             g, src, dst, 2, np.zeros(0, dtype=np.int32), dev,
             window_size=1 << 20, adaptive=True,
         )

@@ -5,8 +5,8 @@ import pytest
 
 from repro import Device, DeviceSpec, find_maximum_cliques
 from repro.baselines import maximum_cliques_via_bk
-from repro.core.concurrent import concurrent_windowed_search
 from repro.core.setup import build_two_clique_list
+from repro.engine import window_sweep
 from repro.errors import SolveTimeoutError, SolverConfigError
 from repro.graph import generators as gen
 
@@ -46,7 +46,7 @@ class TestCorrectness:
         ref, _ = maximum_cliques_via_bk(g)
         dev = fresh_device()
         src, dst, _ = build_two_clique_list(g, 2, dev)
-        out = concurrent_windowed_search(
+        out = window_sweep(
             g, src, dst, 2, np.zeros(0, dtype=np.int32), dev,
             window_size=16, fanout=3,
         )
@@ -57,7 +57,7 @@ class TestCorrectness:
         dev = fresh_device()
         src, dst, _ = build_two_clique_list(g, 2, dev)
         with pytest.raises(ValueError):
-            concurrent_windowed_search(
+            window_sweep(
                 g, src, dst, 2, np.zeros(0, dtype=np.int32), dev,
                 window_size=4, fanout=0,
             )

@@ -1,24 +1,23 @@
 """Fanout=1 parity: the concurrent sweep degenerates to the sequential one.
 
-Since the engine refactor both ``windowed_search`` and
-``concurrent_windowed_search`` configure
+Both windowed searches are configurations of
 :func:`repro.engine.sweep.window_sweep`; at ``fanout=1`` the
-concurrent entry point must be *indistinguishable* from the
-sequential one -- same ω, same witness clique, same per-window stats,
-same level stats, and the same device charges -- because it routes
-through the identical sequential sweep, isolated launch schedule and
-all. Checked across the dataset suite plus targeted generator shapes.
+concurrent configuration (the label and argument set the windowed
+stage uses for ``window_fanout > 1``) must be *indistinguishable*
+from the sequential one -- same ω, same witness clique, same
+per-window stats, same level stats, and the same device charges --
+because it routes through the identical sequential sweep, isolated
+launch schedule and all. Checked across the dataset suite plus targeted generator shapes.
 """
 
 import numpy as np
 import pytest
 
 from repro import Device, DeviceSpec
-from repro.core.concurrent import concurrent_windowed_search
 from repro.core.config import Heuristic
 from repro.core.heuristics import run_heuristic
 from repro.core.setup import build_two_clique_list
-from repro.core.windowed import windowed_search
+from repro.engine import window_sweep
 from repro.datasets import iter_suite
 from repro.graph import generators as gen
 
@@ -49,21 +48,15 @@ GENERATOR_GRAPHS = [
 def _run_pair(graph, window_size, **kwargs):
     """One sequential and one fanout=1 concurrent sweep, fresh devices."""
     outs, devices = [], []
-    for entry in (windowed_search, concurrent_windowed_search):
+    for label in ("windowed search", "concurrent windowed search"):
         device = Device(DeviceSpec(memory_bytes=256 * MIB))
         heur = run_heuristic(graph, Heuristic.MULTI_DEGREE, device, h=8)
         omega_bar = max(heur.lower_bound, 2)
         src, dst, _ = build_two_clique_list(graph, omega_bar, device)
-        if entry is concurrent_windowed_search:
-            out = entry(
-                graph, src, dst, omega_bar, heur.clique, device,
-                window_size=window_size, fanout=1, **kwargs,
-            )
-        else:
-            out = entry(
-                graph, src, dst, omega_bar, heur.clique, device,
-                window_size=window_size, **kwargs,
-            )
+        out = window_sweep(
+            graph, src, dst, omega_bar, heur.clique, device,
+            window_size=window_size, fanout=1, label=label, **kwargs,
+        )
         outs.append(out)
         devices.append(device)
     return outs, devices

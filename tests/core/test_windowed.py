@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import MaxCliqueSolver, SolverConfig, verify_result
 from repro.core.config import WindowOrder
 from repro.core.setup import build_two_clique_list
-from repro.core.windowed import auto_window_size, split_windows, windowed_search
+from repro.engine.sweep import auto_window_size, split_windows, window_sweep
 from repro.graph import from_edge_list
 from repro.graph import generators as gen
 from repro.gpusim import Device, DeviceSpec
@@ -66,7 +67,7 @@ class TestAutoWindowSize:
 class TestWindowedSearch:
     def run(self, g, dev, **kw):
         src, dst, _ = build_two_clique_list(g, 2, dev)
-        return windowed_search(
+        return window_sweep(
             g, src, dst, 2, np.zeros(0, dtype=np.int32), dev, **kw
         )
 
@@ -100,8 +101,8 @@ class TestWindowedSearch:
         g = gen.caveman_social(4, 40, p_in=0.4, seed=11)
         src, dst, _ = build_two_clique_list(g, 2, dev)
         empty = np.zeros(0, dtype=np.int32)
-        small = windowed_search(g, src, dst, 2, empty, dev, window_size=16)
-        big = windowed_search(g, src, dst, 2, empty, dev, window_size=1 << 20)
+        small = window_sweep(g, src, dst, 2, empty, dev, window_size=16)
+        big = window_sweep(g, src, dst, 2, empty, dev, window_size=1 << 20)
         assert small.peak_window_bytes <= big.peak_window_bytes
         assert small.omega == big.omega
         assert len(small.windows) > len(big.windows)
@@ -109,7 +110,7 @@ class TestWindowedSearch:
     def test_heuristic_clique_is_floor(self, dev):
         g = from_edge_list([(0, 1), (1, 2), (0, 2)])
         src = np.zeros(0, dtype=np.int32)
-        out = windowed_search(
+        out = window_sweep(
             g, src, src, 3, np.array([0, 1, 2], dtype=np.int32), dev,
             window_size=4,
         )
@@ -122,6 +123,25 @@ class TestWindowedSearch:
         g = gen.erdos_renyi(50, 0.35, seed=12)
         src, dst, _ = build_two_clique_list(g, 2, dev)
         empty = np.zeros(0, dtype=np.int32)
-        out = windowed_search(g, src, dst, 2, empty, dev, window_size=8)
+        out = window_sweep(g, src, dst, 2, empty, dev, window_size=8)
         bars = [w.best_clique_size for w in out.windows]
         assert bars == sorted(bars)  # never decreases
+
+
+class TestOmegaTwoWitness:
+    """With no heuristic clique the sweep starts at ``best = ω̄ = 2``
+    holding no witness; a window that only matches that bound must
+    still supply one, on both the sequential and the fused sweep."""
+
+    @pytest.mark.parametrize("fanout", [1, 2])
+    @pytest.mark.parametrize(
+        "graph", [gen.cycle_graph(12), gen.star_graph(9)], ids=["cycle", "star"]
+    )
+    def test_witness_verifies(self, graph, fanout):
+        config = SolverConfig(
+            heuristic="none", window_size=4, window_fanout=fanout
+        )
+        result = MaxCliqueSolver(graph, config).solve()
+        assert result.clique_number == 2
+        assert result.cliques.shape == (1, 2)
+        verify_result(graph, result)
